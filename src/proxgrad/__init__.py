@@ -4,14 +4,10 @@ CLI for reproducible desk-scale experiments."""
 
 from .core import (
     CompositeProblem,
-    ProblemMetadata,
     ProxOracle,
     SmoothOracle,
     as_vector,
-    axpy,
-    dot,
     make_problem,
-    norm,
     psi_eval,
 )
 from .diagnostics import (
@@ -52,10 +48,8 @@ from .solver import (
     BacktrackResult,
     InnerCapExceeded,
     PrevStep,
-    PsiWindow,
     SolveReport,
     SolverConfig,
-    acceptance_reference,
     backtrack,
     gamma0_select,
     outer_residual,

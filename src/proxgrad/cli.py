@@ -28,14 +28,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics
-from .core import CompositeProblem, as_vector, make_problem
+from .core import CompositeProblem, as_vector, make_problem, psi_eval
 from .diagnostics import TraceFormatError, read_trace_csv, write_trace_csv
 from .prox_oracles import PROX_REGISTRY, build_prox
 from .smooth_oracles import SMOOTH_REGISTRY, build_smooth
@@ -81,7 +81,7 @@ def shipped_config_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json"))
 
 
-def _resolve_config_path(arg: str) -> Path | None:
+def _resolve_config_path(arg: str) -> Path:
     """A config argument is a filesystem path or a shipped config name."""
     p = Path(arg)
     if p.is_file():
@@ -90,7 +90,13 @@ def _resolve_config_path(arg: str) -> Path | None:
     candidate = resources.files("proxgrad") / "configs" / f"{name}.json"
     if candidate.is_file():
         return Path(str(candidate))
-    return None
+    raise ValueError(f"config {arg!r} not found")
+
+
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def load_run_config(path: Path) -> dict:
@@ -103,25 +109,27 @@ def load_run_config(path: Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if "problem" not in raw:
+    if "problem" not in _section(raw, "config"):
         raise ValueError("config is missing the 'problem' section")
-    prob = raw["problem"]
+    prob = _section(raw["problem"], "problem section")
     for key in ("smooth", "nonsmooth", "dimension"):
         if key not in prob:
             raise ValueError(f"problem section is missing {key!r}")
     dimension = prob["dimension"]
-    if not (isinstance(dimension, int) and dimension >= 1):
+    if not (type(dimension) is int and dimension >= 1):
         raise ValueError(f"problem dimension must be a positive integer, got {dimension!r}")
 
-    smooth = build_smooth(prob["smooth"]["name"], prob["smooth"].get("params", {}), dimension)
-    nonsmooth = build_prox(prob["nonsmooth"]["name"], prob["nonsmooth"].get("params", {}), dimension)
+    f_entry = _section(prob["smooth"], "problem 'smooth' entry")
+    phi_entry = _section(prob["nonsmooth"], "problem 'nonsmooth' entry")
+    smooth = build_smooth(f_entry.get("name"), f_entry.get("params", {}), dimension)
+    nonsmooth = build_prox(phi_entry.get("name"), phi_entry.get("params", {}), dimension)
     problem = make_problem(smooth, nonsmooth, dimension)
 
-    solver_fields = dict(raw.get("solver", {}))
+    solver_fields = _section(raw.get("solver", {}), "solver section")
     try:
         config = SolverConfig(**solver_fields)
     except TypeError as exc:
-        raise ValueError(f"unknown solver field: {exc}") from exc
+        raise ValueError(f"bad solver section: {exc}") from exc
 
     x0_raw = raw.get("x0", "zeros")
     if x0_raw == "zeros":
@@ -133,20 +141,20 @@ def load_run_config(path: Path) -> dict:
     else:
         raise ValueError(f"x0 must be 'zeros', 'ones', or a coordinate list, got {x0_raw!r}")
 
-    psi0 = float(smooth.eval(as_vector(x0, dimension))) + float(nonsmooth.eval(as_vector(x0, dimension)))
-    if not math.isfinite(psi0):
+    if not math.isfinite(psi_eval(problem, x0)):
         raise ValueError("x0 not in the domain of the nonsmooth term (psi(x0) is infinite)")
 
     output = raw.get("output", f"{path.stem}_trace.csv")
+    if not isinstance(output, str):
+        raise ValueError(f"output must be a file path string, got {output!r}")
     return {"problem": problem, "config": config, "x0": x0, "output": Path(output)}
 
 
 def _run_one(problem: CompositeProblem, config: SolverConfig, x0):
     report = solve(problem, config, x0)
     log.info(
-        "run %s: status=%s iterations=%d early_exits=%s metadata=%s",
-        problem.name, report.status, report.iterations,
-        list(report.early_exit_ks), report.metadata,
+        "run %s: status=%s iterations=%d early_exits=%s",
+        problem.name, report.status, report.iterations, list(report.early_exit_ks),
     )
     return report
 
@@ -155,15 +163,18 @@ def _fmt_float(v: float) -> str:
     return "inf" if math.isinf(v) else f"{v:.17g}"
 
 
-def cmd_run(args) -> int:
-    path = _resolve_config_path(args.config)
-    if path is None:
-        print(f"error: config {args.config!r} not found", file=sys.stderr)
-        return _EXIT_INVALID
+def _load_config_arg(arg: str) -> dict | None:
+    """Load a config path or shipped name; None after printing the error."""
     try:
-        cfg = load_run_config(path)
+        return load_run_config(_resolve_config_path(arg))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_run(args) -> int:
+    cfg = _load_config_arg(args.config)
+    if cfg is None:
         return _EXIT_INVALID
     report = _run_one(cfg["problem"], cfg["config"], cfg["x0"])
     out = Path(args.output) if args.output else cfg["output"]
@@ -232,14 +243,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    path = _resolve_config_path(args.config)
-    if path is None:
-        print(f"error: config {args.config!r} not found", file=sys.stderr)
-        return _EXIT_INVALID
-    try:
-        cfg = load_run_config(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cfg = _load_config_arg(args.config)
+    if cfg is None:
         return _EXIT_INVALID
 
     rows = []
@@ -249,7 +254,7 @@ def cmd_compare(args) -> int:
         if m < 0:
             print(f"error: m must be nonnegative, got {m}", file=sys.stderr)
             return _EXIT_INVALID
-        config = SolverConfig(**{**asdict(cfg["config"]), "m": m})
+        config = replace(cfg["config"], m=m)
         report = _run_one(cfg["problem"], config, cfg["x0"])
         trace_path = out_base.with_name(f"{out_base.stem}_m{m}{out_base.suffix}")
         try:

@@ -1,4 +1,4 @@
-"""Vector primitives, extended-real arithmetic, and the composite problem type.
+"""Vector coercion, extended-real arithmetic, and the composite problem type.
 
 Points live in plain Euclidean space and are represented as dense 1-D float64
 numpy arrays.  The nonsmooth term of a composite objective may take the value
@@ -13,8 +13,7 @@ so problems may be shared freely between concurrently running solves.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,14 +21,11 @@ import numpy as np
 __all__ = [
     "Vector",
     "as_vector",
-    "norm",
-    "dot",
-    "axpy",
     "SmoothOracle",
     "ProxOracle",
-    "ProblemMetadata",
     "CompositeProblem",
     "psi_eval",
+    "build_oracle",
 ]
 
 Vector = np.ndarray
@@ -56,25 +52,6 @@ def as_vector(x, dimension: int | None = None) -> Vector:
     return v
 
 
-def dot(x: Vector, y: Vector) -> float:
-    """Euclidean inner product."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
-
-
-def norm(x: Vector) -> float:
-    """Euclidean norm, computed as sqrt(dot(x, x))."""
-    return math.sqrt(float(np.dot(x, x)))
-
-
-def axpy(a: float, x: Vector, y: Vector) -> Vector:
-    """Return ``a*x + y``."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
-
-
 @dataclass(frozen=True)
 class SmoothOracle:
     """A continuously differentiable function with an exact gradient.
@@ -87,7 +64,6 @@ class SmoothOracle:
     name: str
     eval: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
-    grad_locally_lipschitz: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,23 +80,7 @@ class ProxOracle:
     name: str
     eval: Callable[[Vector], float]
     prox: Callable[[float, Vector], Vector]
-    continuous_on_domain: bool = True
-    affine_minorant: bool = True
-    convex: bool = False
-
-
-@dataclass(frozen=True)
-class ProblemMetadata:
-    """Structural flags declared by the problem author.
-
-    The flags are informational: they are surfaced in reports and warnings
-    but never silently assumed by the solver.
-    """
-
-    phi_continuous_on_domain: bool = True
-    grad_f_locally_lipschitz: bool = True
-    psi_bounded_below: bool = True
-    phi_affine_minorant: bool = True
+    continuous_on_domain: bool = True  # if False, the solver warns when m > 0
 
 
 @dataclass(frozen=True)
@@ -134,7 +94,6 @@ class CompositeProblem:
     smooth: SmoothOracle
     nonsmooth: ProxOracle
     dimension: int
-    metadata: ProblemMetadata = field(default_factory=ProblemMetadata)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -145,20 +104,10 @@ class CompositeProblem:
         return f"{self.smooth.name}+{self.nonsmooth.name}"
 
 
-def make_problem(
-    smooth: SmoothOracle,
-    nonsmooth: ProxOracle,
-    dimension: int,
-    psi_bounded_below: bool = True,
-) -> CompositeProblem:
-    """Build a problem, deriving metadata flags from the oracles."""
-    meta = ProblemMetadata(
-        phi_continuous_on_domain=nonsmooth.continuous_on_domain,
-        grad_f_locally_lipschitz=smooth.grad_locally_lipschitz,
-        psi_bounded_below=psi_bounded_below,
-        phi_affine_minorant=nonsmooth.affine_minorant,
-    )
-    return CompositeProblem(smooth, nonsmooth, dimension, meta)
+def make_problem(smooth: SmoothOracle, nonsmooth: ProxOracle,
+                 dimension: int) -> CompositeProblem:
+    """Pair a smooth and a nonsmooth oracle on vectors of `dimension`."""
+    return CompositeProblem(smooth, nonsmooth, dimension)
 
 
 def psi_eval(problem: CompositeProblem, x) -> float:
@@ -169,3 +118,33 @@ def psi_eval(problem: CompositeProblem, x) -> float:
     """
     v = as_vector(x, problem.dimension)
     return float(problem.smooth.eval(v)) + float(problem.nonsmooth.eval(v))
+
+
+def build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
+    """Construct `registry[name]` from config-file `params`: its constructor
+    takes its parameters in order, one named ``dimension`` being the problem
+    dimension, and its sized parameter's last axis must have that length."""
+    if not isinstance(name, str) or name not in registry:
+        known = ", ".join(sorted(registry))
+        raise ValueError(f"unknown {kind} oracle {name!r} (known: {known})")
+    make, names, sized = registry[name]
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} oracle {name!r}: params must be an object")
+    wanted = [p for p in names if p != "dimension"]
+    wrong = [f"missing {p!r}" for p in wanted if p not in params]
+    wrong += [f"unknown {p!r}" for p in sorted(set(params) - set(wanted))]
+    if wrong:
+        expected = ", ".join(wanted) or "none"
+        raise ValueError(f"{kind} oracle {name!r}: {', '.join(wrong)} parameter "
+                         f"(expected: {expected})")
+    args = {**params, "dimension": dimension}
+    try:
+        if sized is not None:
+            args[sized] = np.asarray(args[sized], dtype=np.float64)
+        oracle = make(*(args[p] for p in names))
+    except TypeError as exc:
+        raise ValueError(f"{kind} oracle {name!r}: bad parameter: {exc}") from None
+    if sized is not None and args[sized].shape[-1] != dimension:
+        raise ValueError(f"{kind} oracle {name!r}: {sized!r} has dimension "
+                         f"{args[sized].shape[-1]} but problem dimension is {dimension}")
+    return oracle

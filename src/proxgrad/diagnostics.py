@@ -47,6 +47,9 @@ TRACE_HEADER = "k,f,phi,psi,gamma0,gamma,inner_iters,step_norm,residual,accepted
 
 _META_PREFIX = "# proxgrad-trace "
 
+# Slack of the psi comparisons in the acceptance, envelope and level-set checks
+_PSI_TOL = 1e-10
+
 
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed into a Trace."""
@@ -142,7 +145,7 @@ def read_trace_csv(path) -> Trace:
     if lines and lines[0].startswith(_META_PREFIX):
         try:
             meta.update(json.loads(lines[0][len(_META_PREFIX):]))
-        except json.JSONDecodeError as exc:
+        except (TypeError, ValueError) as exc:  # not JSON, or not an object
             raise TraceFormatError(f"bad metadata line: {exc}") from exc
         lines = lines[1:]
     if not lines or lines[0] != TRACE_HEADER:
@@ -169,18 +172,16 @@ def read_trace_csv(path) -> Trace:
             )
         except ValueError as exc:
             raise TraceFormatError(f"bad row {ln!r}: {exc}") from exc
-    config = SolverConfig(**meta["config"]) if meta.get("config") else None
     try:
-        return Trace(
-            records=tuple(records),
-            config_echo=config,
-            problem_name=meta.get("problem_name", ""),
-            x0_hash=meta.get("x0_hash", ""),
-        )
-    except TraceFormatError:
-        raise
-    except TypeError as exc:
+        config = SolverConfig(**meta["config"]) if meta.get("config") else None
+    except (TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad metadata: {exc}") from exc
+    return Trace(
+        records=tuple(records),
+        config_echo=config,
+        problem_name=meta.get("problem_name", ""),
+        x0_hash=meta.get("x0_hash", ""),
+    )
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _window_max(psi: Sequence[float], k: int, m: int) -> float:
 
 
 def check_acceptance(trace: Trace, *, delta: float | None = None,
-                     m: int | None = None, tol: float = 1e-10) -> list[Violation]:
+                     m: int | None = None) -> list[Violation]:
     """Re-verify the sufficient-decrease certificate on every checkable row.
 
     Row k asserts ``psi[k+1] <= max(psi[k-m_k .. k]) - delta*(gamma_k/2)*step_k^2``
@@ -217,7 +218,7 @@ def check_acceptance(trace: Trace, *, delta: float | None = None,
     for k in range(len(trace.records) - 1):
         rec = trace.records[k]
         bound = _window_max(psi, k, m) - delta * (rec.gamma / 2.0) * rec.step_norm**2
-        if psi[k + 1] > bound + tol:
+        if psi[k + 1] > bound + _PSI_TOL:
             violations.append(
                 Violation(
                     k=k,
@@ -228,20 +229,18 @@ def check_acceptance(trace: Trace, *, delta: float | None = None,
     return violations
 
 
-def check_envelope(trace: Trace, m: int, tol: float = 1e-10) -> bool:
+def check_envelope(trace: Trace, m: int) -> bool:
     """True iff the rolling window maximum of psi is nonincreasing."""
     psi = [r.psi for r in trace.records]
     env = [_window_max(psi, k, m) for k in range(len(psi))]
-    return all(env[k + 1] <= env[k] + tol for k in range(len(env) - 1))
+    return all(env[k + 1] <= env[k] + _PSI_TOL for k in range(len(env) - 1))
 
 
-def check_level_set(trace: Trace, tol: float = 1e-10) -> bool:
+def check_level_set(trace: Trace) -> bool:
     """True iff every iterate stays in the initial sublevel set,
-    i.e. psi[k] <= psi[0] + tol for all k."""
+    i.e. psi[k] <= psi[0] + 1e-10 for all k."""
     psi = [r.psi for r in trace.records]
-    if not psi:
-        return True
-    return all(p <= psi[0] + tol for p in psi)
+    return all(p <= psi[0] + _PSI_TOL for p in psi)
 
 
 def _tail(values: list, fraction: float = 0.1) -> list:
@@ -279,13 +278,10 @@ class GammaBoundReport:
     trend_flag: bool
 
 
-def gamma_bound_report(trace: Trace, *, tau: float | None = None,
-                       gamma_max: float | None = None) -> GammaBoundReport:
-    if tau is None or gamma_max is None:
-        if trace.config_echo is None:
-            raise TraceFormatError("trace carries no config echo; pass tau and gamma_max")
-        tau = trace.config_echo.tau if tau is None else tau
-        gamma_max = trace.config_echo.gamma_max if gamma_max is None else gamma_max
+def gamma_bound_report(trace: Trace) -> GammaBoundReport:
+    if trace.config_echo is None:
+        raise TraceFormatError("trace carries no config echo")
+    tau, gamma_max = trace.config_echo.tau, trace.config_echo.gamma_max
     gammas = [r.gamma for r in trace.records]
     if not gammas:
         return GammaBoundReport(max_gamma=0.0, trend_flag=False)

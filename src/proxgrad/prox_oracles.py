@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 
-from .core import ProxOracle, Vector, as_vector
+from .core import ProxOracle, Vector, as_vector, build_oracle
 
 __all__ = [
-    "ProxOracle",
     "make_zero",
     "make_l1",
     "make_l0",
@@ -54,8 +53,7 @@ def make_zero() -> ProxOracle:
         _check_gamma(gamma)
         return np.array(v, dtype=np.float64)
 
-    return ProxOracle("zero", peval, prox, continuous_on_domain=True,
-                      affine_minorant=True, convex=True)
+    return ProxOracle("zero", peval, prox)
 
 
 def make_l1(lam: float) -> ProxOracle:
@@ -73,8 +71,7 @@ def make_l1(lam: float) -> ProxOracle:
         t = lam / g
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
-    return ProxOracle("l1", peval, prox, continuous_on_domain=True,
-                      affine_minorant=True, convex=True)
+    return ProxOracle("l1", peval, prox)
 
 
 def make_l0(lam: float) -> ProxOracle:
@@ -96,8 +93,7 @@ def make_l0(lam: float) -> ProxOracle:
         keep = 0.5 * g * v * v > lam
         return np.where(keep, v, 0.0)
 
-    return ProxOracle("l0", peval, prox, continuous_on_domain=False,
-                      affine_minorant=True, convex=False)
+    return ProxOracle("l0", peval, prox, continuous_on_domain=False)
 
 
 def _lp_half_scalar(lam: float, gamma: float, v: float) -> float:
@@ -165,8 +161,7 @@ def make_lp_half(lam: float) -> ProxOracle:
         g = _check_gamma(gamma)
         return np.array([_lp_half_scalar(lam, g, float(vi)) for vi in v])
 
-    return ProxOracle("lp_half", peval, prox, continuous_on_domain=True,
-                      affine_minorant=True, convex=False)
+    return ProxOracle("lp_half", peval, prox)
 
 
 def make_box(lo, hi) -> ProxOracle:
@@ -187,8 +182,7 @@ def make_box(lo, hi) -> ProxOracle:
         _check_gamma(gamma)
         return np.clip(v, lo_v, hi_v)
 
-    return ProxOracle("box", peval, prox, continuous_on_domain=True,
-                      affine_minorant=True, convex=True)
+    return ProxOracle("box", peval, prox)
 
 
 def make_sphere(radius: float) -> ProxOracle:
@@ -219,8 +213,7 @@ def make_sphere(radius: float) -> ProxOracle:
             return out
         return (r / nrm) * v
 
-    return ProxOracle("sphere", peval, prox, continuous_on_domain=True,
-                      affine_minorant=False, convex=False)
+    return ProxOracle("sphere", peval, prox)
 
 
 def _brute_force_grid(lo: float, hi: float, step: float) -> Vector:
@@ -281,51 +274,17 @@ def brute_force_prox(
     return float(min(ties, key=lambda x: (abs(x), x)))
 
 
-def _build_zero(params: dict, dimension: int) -> ProxOracle:
-    return make_zero()
-
-
-def _build_l1(params: dict, dimension: int) -> ProxOracle:
-    return make_l1(params["lam"])
-
-
-def _build_l0(params: dict, dimension: int) -> ProxOracle:
-    return make_l0(params["lam"])
-
-
-def _build_lp_half(params: dict, dimension: int) -> ProxOracle:
-    return make_lp_half(params["lam"])
-
-
-def _build_box(params: dict, dimension: int) -> ProxOracle:
-    oracle = make_box(params["lo"], params["hi"])
-    if len(params["lo"]) != dimension:
-        raise ValueError(
-            f"box bounds have dimension {len(params['lo'])} but problem dimension is {dimension}"
-        )
-    return oracle
-
-
-def _build_sphere(params: dict, dimension: int) -> ProxOracle:
-    return make_sphere(params["radius"])
-
-
-# name -> builder(params, dimension); the CLI resolves config entries here
+# name -> (constructor, parameters, sized parameter), read by `build_prox`
 PROX_REGISTRY = {
-    "zero": _build_zero,
-    "l1": _build_l1,
-    "l0": _build_l0,
-    "lp_half": _build_lp_half,
-    "box": _build_box,
-    "sphere": _build_sphere,
+    "zero": (make_zero, (), None),
+    "l1": (make_l1, ("lam",), None),
+    "l0": (make_l0, ("lam",), None),
+    "lp_half": (make_lp_half, ("lam",), None),
+    "box": (make_box, ("lo", "hi"), "lo"),
+    "sphere": (make_sphere, ("radius",), None),
 }
 
 
 def build_prox(name: str, params: dict, dimension: int) -> ProxOracle:
     """Construct a registered prox oracle from config-file parameters."""
-    try:
-        builder = PROX_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(PROX_REGISTRY))
-        raise ValueError(f"unknown prox oracle {name!r} (known: {known})") from None
-    return builder(params, dimension)
+    return build_oracle("prox", PROX_REGISTRY, name, params, dimension)

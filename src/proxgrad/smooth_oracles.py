@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SmoothOracle, Vector, as_vector
+from .core import SmoothOracle, Vector, as_vector, build_oracle
 
 __all__ = [
-    "SmoothOracle",
     "make_quadratic",
     "make_quartic",
     "make_logistic",
@@ -57,7 +56,7 @@ def make_quadratic(A_rows, b) -> SmoothOracle:
     def fgrad(x: Vector) -> Vector:
         return A.T @ (A @ x - bv)
 
-    return SmoothOracle("quadratic", feval, fgrad, grad_locally_lipschitz=True)
+    return SmoothOracle("quadratic", feval, fgrad)
 
 
 def make_quartic(dimension: int) -> SmoothOracle:
@@ -75,7 +74,7 @@ def make_quartic(dimension: int) -> SmoothOracle:
     def fgrad(x: Vector) -> Vector:
         return x**3
 
-    return SmoothOracle("quartic", feval, fgrad, grad_locally_lipschitz=True)
+    return SmoothOracle("quartic", feval, fgrad)
 
 
 def make_logistic(A_rows, labels) -> SmoothOracle:
@@ -107,7 +106,7 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
         )
         return -(A.T @ (y * p))
 
-    return SmoothOracle("logistic", feval, fgrad, grad_locally_lipschitz=True)
+    return SmoothOracle("logistic", feval, fgrad)
 
 
 def fd_gradient_check(oracle: SmoothOracle, x, h: float = 1e-5) -> float:
@@ -131,43 +130,14 @@ def fd_gradient_check(oracle: SmoothOracle, x, h: float = 1e-5) -> float:
     return worst
 
 
-def _build_quadratic(params: dict, dimension: int) -> SmoothOracle:
-    oracle = make_quadratic(params["A"], params["b"])
-    n_cols = np.asarray(params["A"], dtype=np.float64).shape[1]
-    if n_cols != dimension:
-        raise ValueError(
-            f"quadratic oracle has {n_cols} columns but problem dimension is {dimension}"
-        )
-    return oracle
-
-
-def _build_quartic(params: dict, dimension: int) -> SmoothOracle:
-    return make_quartic(params.get("dimension", dimension))
-
-
-def _build_logistic(params: dict, dimension: int) -> SmoothOracle:
-    oracle = make_logistic(params["A"], params["labels"])
-    n_cols = np.asarray(params["A"], dtype=np.float64).shape[1]
-    if n_cols != dimension:
-        raise ValueError(
-            f"logistic oracle has {n_cols} columns but problem dimension is {dimension}"
-        )
-    return oracle
-
-
-# name -> builder(params, dimension); the CLI resolves config entries here
+# name -> (constructor, parameters, sized parameter), read by `build_smooth`
 SMOOTH_REGISTRY = {
-    "quadratic": _build_quadratic,
-    "quartic": _build_quartic,
-    "logistic": _build_logistic,
+    "quadratic": (make_quadratic, ("A", "b"), "A"),
+    "quartic": (make_quartic, ("dimension",), None),
+    "logistic": (make_logistic, ("A", "labels"), "A"),
 }
 
 
 def build_smooth(name: str, params: dict, dimension: int) -> SmoothOracle:
     """Construct a registered smooth oracle from config-file parameters."""
-    try:
-        builder = SMOOTH_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(SMOOTH_REGISTRY))
-        raise ValueError(f"unknown smooth oracle {name!r} (known: {known})") from None
-    return builder(params, dimension)
+    return build_oracle("smooth", SMOOTH_REGISTRY, name, params, dimension)

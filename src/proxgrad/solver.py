@@ -28,18 +28,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CompositeProblem, ProblemMetadata, Vector, as_vector
+from .core import CompositeProblem, Vector, as_vector
 from .diagnostics import IterateRecord, Trace, hash_x0
 
 __all__ = [
     "SolverConfig",
-    "PsiWindow",
     "PrevStep",
     "BacktrackResult",
     "InnerCapExceeded",
     "SolveReport",
     "subproblem_solve",
-    "acceptance_reference",
     "gamma0_select",
     "backtrack",
     "outer_residual",
@@ -86,7 +84,7 @@ class SolverConfig:
             )
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (isinstance(self.m, int) and self.m >= 0):
+        if not (type(self.m) is int and self.m >= 0):
             raise ValueError(f"m must be a nonnegative integer, got {self.m}")
         if self.gamma0_strategy not in GAMMA0_STRATEGIES:
             raise ValueError(
@@ -99,32 +97,10 @@ class SolverConfig:
             raise ValueError(f"tau_abs must be positive, got {self.tau_abs}")
         if self.eps_step < 0:
             raise ValueError(f"eps_step must be >= 0, got {self.eps_step}")
-        if not (isinstance(self.max_outer, int) and self.max_outer >= 1):
+        if not (type(self.max_outer) is int and self.max_outer >= 1):
             raise ValueError(f"max_outer must be a positive integer, got {self.max_outer}")
-        if not (isinstance(self.max_inner, int) and self.max_inner >= 1):
+        if not (type(self.max_inner) is int and self.max_inner >= 1):
             raise ValueError(f"max_inner must be a positive integer, got {self.max_inner}")
-
-
-class PsiWindow:
-    """Ring buffer of the last min(k, m) + 1 accepted objective values."""
-
-    def __init__(self, m: int, psi0: float):
-        self._buf = deque([psi0], maxlen=m + 1)
-
-    def push(self, psi: float) -> None:
-        self._buf.append(psi)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-def acceptance_reference(window: PsiWindow) -> float:
-    """Maximum buffered objective value; with m = 0 this is just the current
-    one, collapsing the nonmonotone test to plain sufficient decrease."""
-    return max(window.values())
 
 
 @dataclass(frozen=True)
@@ -196,7 +172,7 @@ class BacktrackResult:
     phi_next: float
     step_norm: float
     early_exit: bool
-    grad_next: Vector | None  # set when the early-exit branch evaluated it
+    grad_next: Vector
 
 
 def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
@@ -207,7 +183,8 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
     or, failing that, the inner stationarity test
     ``||grad f(x) - grad f(x_k) + gamma (x_k - x)|| <= tau_abs`` which marks
     the candidate as approximately stationary already (reported via
-    `early_exit`).
+    `early_exit`).  Each trial evaluates f, phi and grad f once at the
+    candidate; the accepted one's gradient is returned as `grad_next`.
 
     Raises
     ------
@@ -224,10 +201,10 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
         f_cand = float(problem.smooth.eval(cand))
         phi_cand = float(problem.nonsmooth.eval(cand))
         psi_cand = f_cand + phi_cand
+        grad_cand = problem.smooth.grad(cand)
         if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
             return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
-                                   math.sqrt(step_sq), False, None)
-        grad_cand = problem.smooth.grad(cand)
+                                   math.sqrt(step_sq), False, grad_cand)
         inner_res = grad_cand - grad_k + gamma * (x_k - cand)
         if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
             return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
@@ -263,7 +240,6 @@ class SolveReport:
     psi_final: float
     trace: Trace
     early_exit_ks: tuple[int, ...] = ()
-    metadata: ProblemMetadata | None = None
 
 
 def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
@@ -289,7 +265,9 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         )
 
     grad = problem.smooth.grad(x)
-    window = PsiWindow(config.m, psi_x)
+    # the last min(k, m) + 1 accepted objective values; with m = 0 their
+    # maximum is the current one and the test is plain sufficient decrease
+    window = deque([psi_x], maxlen=config.m + 1)
     records: list[IterateRecord] = []
     early_ks: list[int] = []
     prev: PrevStep | None = None
@@ -315,7 +293,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             break
 
         gamma0 = gamma0_select(config, prev)
-        psi_ref = acceptance_reference(window)
+        psi_ref = max(window)
         try:
             bt = backtrack(problem, x, grad, gamma0, psi_ref, config)
         except InnerCapExceeded:
@@ -339,12 +317,11 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         if bt.early_exit:
             early_ks.append(k)
 
-        grad_next = bt.grad_next if bt.grad_next is not None else problem.smooth.grad(bt.x_next)
-        prev = PrevStep(s=bt.x_next - x, y=grad_next - grad, gamma=bt.gamma)
+        prev = PrevStep(s=bt.x_next - x, y=bt.grad_next - grad, gamma=bt.gamma)
         x_prev, grad_prev = x, grad
-        x, grad = bt.x_next, grad_next
+        x, grad = bt.x_next, bt.grad_next
         f_x, phi_x, psi_x = bt.f_next, bt.phi_next, bt.psi_next
-        window.push(psi_x)
+        window.append(psi_x)
         step_small = (bt.step_norm <= config.eps_step
                       and bt.gamma <= config.gamma_max * config.tau)
         k += 1
@@ -363,7 +340,6 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         psi_final=psi_x,
         trace=trace,
         early_exit_ks=tuple(early_ks),
-        metadata=problem.metadata,
     )
 
 

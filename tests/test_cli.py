@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
+import proxgrad
 from proxgrad.cli import _resolve_config_path, main, shipped_config_names
 
 from conftest import SHIPPED
@@ -64,6 +70,40 @@ class TestRun:
         code = run_cli(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
         assert code == 1
         assert "unknown prox oracle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,fragment",
+        [
+            # a string is the whole file; a dict holds overrides of lasso_small
+            ("5", "config must be a JSON object, got int"),
+            ({"problem.nonsmooth": {"name": "l1", "params": {}}}, "missing 'lam'"),
+            ({"problem.nonsmooth": {"name": "l1", "params": {"lam": 0.5, "mu": 3}}},
+             "unknown 'mu'"),
+            ({"problem.nonsmooth": {"name": "zero", "params": {"lam": 0.5}}}, "unknown 'lam'"),
+            ({"problem.smooth": {"name": "quartic", "params": {"dimension": 2}}},
+             "unknown 'dimension'"),
+            ({"problem.nonsmooth": {"name": "l1", "params": [0.5]}}, "params must be an object"),
+            ({"problem.nonsmooth": {"name": "l1", "params": {"lam": [0.5]}}}, "bad parameter"),
+            ({"problem.smooth": {"params": {}}}, "unknown smooth oracle None"),
+            ({"problem.smooth": "quadratic"}, "'smooth' entry must be a JSON object"),
+            ({"problem": [1]}, "problem section must be a JSON object"),
+            ({"solver": [1]}, "solver section must be a JSON object"),
+            ({"problem.dimension": True}, "dimension must be a positive integer"),
+            ({"solver.m": True}, "m must be a nonnegative integer"),
+            ({"output": 5}, "output must be a file path"),
+        ],
+    )
+    def test_bad_config_exits_1_with_one_line_error(self, tmp_path, capsys, config, fragment):
+        if isinstance(config, str):
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+        else:
+            path = write_config(tmp_path, **config)
+        code = run_cli(["run", str(path), "--output", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
 
     def test_missing_config_exits_1(self, capsys):
         code = run_cli(["run", "no_such_config"])
@@ -128,6 +168,15 @@ class TestCheck:
         code = run_cli(["check", str(trace)])
         assert code == 1
         assert "cannot read trace" in capsys.readouterr().err
+
+    def test_bad_config_echo_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        text = trace.read_text()
+        trace.write_text(text.replace('"tau":2.0', '"tau":0.5', 1))
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        assert "bad metadata: tau must be > 1" in capsys.readouterr().err
 
     def test_short_trace_skips_tail_checks(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -209,6 +258,15 @@ class TestList:
         run_cli(["list"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_python_dash_m_matches_main(capsys):
+    src = str(Path(proxgrad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "proxgrad", "list"], capture_output=True,
+                          text=True, env=env, check=True)
+    assert run_cli(["list"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_shipped_config_names():

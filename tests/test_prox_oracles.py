@@ -78,7 +78,6 @@ class TestL0:
 
     def test_flags(self):
         assert make_l0(1.0).continuous_on_domain is False
-        assert make_l0(1.0).affine_minorant is True
 
 
 class TestLpHalf:

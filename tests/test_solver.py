@@ -4,15 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxgrad.core import make_problem, norm
+from proxgrad.core import make_problem
 from proxgrad.prox_oracles import brute_force_prox, make_box, make_l0, make_l1, make_zero
 from proxgrad.smooth_oracles import make_quadratic, make_quartic
 from proxgrad.solver import (
     InnerCapExceeded,
     PrevStep,
-    PsiWindow,
     SolverConfig,
-    acceptance_reference,
     backtrack,
     gamma0_select,
     outer_residual,
@@ -23,6 +21,10 @@ from proxgrad.solver import (
 
 from conftest import load_shipped, solve_quiet
 from reference_monotone import reference_monotone_solve
+
+
+def norm(v):
+    return math.sqrt(float(np.dot(v, v)))
 
 
 def half_x_squared(dim=1):
@@ -48,6 +50,9 @@ class TestSolverConfig:
             ("eps_step", -1.0, ">= 0"),
             ("max_outer", 0, "positive"),
             ("max_inner", 0, "positive"),
+            ("m", True, "nonnegative"),
+            ("max_outer", True, "positive"),
+            ("max_inner", True, "positive"),
         ],
     )
     def test_rejects_bad_values(self, field, value, fragment):
@@ -80,23 +85,34 @@ class TestSubproblemSolve:
 
 
 class TestAcceptanceReference:
+    """Row k is tested against the maximum of the last min(k, m) + 1 psi
+    values.  logistic_l1 is used because its psi rises at some steps."""
+
+    @staticmethod
+    def refs_and_psi(m):
+        cfg = load_shipped("logistic_l1")
+        report = solve_quiet(cfg["problem"], replace(cfg["config"], m=m), cfg["x0"])
+        return ([r.accepted_ref for r in report.trace.records],
+                [r.psi for r in report.trace.records])
+
     def test_max_of_buffer(self):
-        w = PsiWindow(2, 3.0)
-        w.push(4.0)
-        w.push(2.5)
-        assert acceptance_reference(w) == 4.0
+        refs, psi = self.refs_and_psi(2)
+        # windows whose maximum is neither their oldest nor their newest value
+        interior = [k for k in range(2, len(psi)) if psi[k - 1] > max(psi[k - 2], psi[k])]
+        assert interior
+        for k in interior:
+            assert refs[k] == psi[k - 1]
 
     def test_singleton(self):
-        assert acceptance_reference(PsiWindow(0, 5.0)) == 5.0
+        refs, psi = self.refs_and_psi(0)
+        assert refs == psi
 
     def test_buffer_growth_matches_min_k_m(self):
-        w = PsiWindow(2, 1.0)  # k = 0
-        w.push(2.0)  # k = 1: holds min(1,2)+1 = 2 entries
-        assert len(w) == 2
-        w.push(3.0)
-        w.push(4.0)  # k = 3: capped at m+1 = 3 entries
-        assert len(w) == 3
-        assert w.values() == (2.0, 3.0, 4.0)
+        refs, psi = self.refs_and_psi(2)
+        assert refs == [max(psi[max(0, k - 2): k + 1]) for k in range(len(psi))]
+        # neither a shorter nor an unbounded window gives this column
+        assert refs != [max(psi[max(0, k - 1): k + 1]) for k in range(len(psi))]
+        assert refs != [max(psi[: k + 1]) for k in range(len(psi))]
 
 
 class TestGamma0Select:
