@@ -8,7 +8,6 @@ from .core import (
     SmoothOracle,
     as_vector,
     make_problem,
-    psi_eval,
 )
 from .diagnostics import (
     GammaBoundReport,

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .core import CompositeProblem, as_vector, make_problem, psi_eval
+from .core import CompositeProblem, as_vector, make_problem
 from .diagnostics import TraceFormatError, read_trace_csv, write_trace_csv
 from .prox_oracles import PROX_REGISTRY, build_prox
 from .smooth_oracles import SMOOTH_REGISTRY, build_smooth
@@ -45,6 +45,7 @@ from .solver import (
     STATUS_INNER_CAP,
     STATUS_MAX_OUTER,
     SolverConfig,
+    SolveReport,
     solve,
 )
 
@@ -141,17 +142,19 @@ def load_run_config(path: Path) -> dict:
     else:
         raise ValueError(f"x0 must be 'zeros', 'ones', or a coordinate list, got {x0_raw!r}")
 
-    if not math.isfinite(psi_eval(problem, x0)):
-        raise ValueError("x0 not in the domain of the nonsmooth term (psi(x0) is infinite)")
-
     output = raw.get("output", f"{path.stem}_trace.csv")
     if not isinstance(output, str):
         raise ValueError(f"output must be a file path string, got {output!r}")
     return {"problem": problem, "config": config, "x0": x0, "output": Path(output)}
 
 
-def _run_one(problem: CompositeProblem, config: SolverConfig, x0):
-    report = solve(problem, config, x0)
+def _run_one(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport | None:
+    """Solve once; None after printing the error when `solve` rejects the input."""
+    try:
+        report = solve(problem, config, x0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     log.info(
         "run %s: status=%s iterations=%d early_exits=%s",
         problem.name, report.status, report.iterations, list(report.early_exit_ks),
@@ -177,6 +180,8 @@ def cmd_run(args) -> int:
     if cfg is None:
         return _EXIT_INVALID
     report = _run_one(cfg["problem"], cfg["config"], cfg["x0"])
+    if report is None:
+        return _EXIT_INVALID
     out = Path(args.output) if args.output else cfg["output"]
     try:
         write_trace_csv(report.trace, out)
@@ -256,6 +261,8 @@ def cmd_compare(args) -> int:
             return _EXIT_INVALID
         config = replace(cfg["config"], m=m)
         report = _run_one(cfg["problem"], config, cfg["x0"])
+        if report is None:
+            return _EXIT_INVALID
         trace_path = out_base.with_name(f"{out_base.stem}_m{m}{out_base.suffix}")
         try:
             write_trace_csv(report.trace, trace_path)

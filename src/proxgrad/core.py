@@ -24,7 +24,6 @@ __all__ = [
     "SmoothOracle",
     "ProxOracle",
     "CompositeProblem",
-    "psi_eval",
     "build_oracle",
 ]
 
@@ -108,16 +107,6 @@ def make_problem(smooth: SmoothOracle, nonsmooth: ProxOracle,
                  dimension: int) -> CompositeProblem:
     """Pair a smooth and a nonsmooth oracle on vectors of `dimension`."""
     return CompositeProblem(smooth, nonsmooth, dimension)
-
-
-def psi_eval(problem: CompositeProblem, x) -> float:
-    """Evaluate ``psi(x) = f(x) + phi(x)`` with extended-real addition.
-
-    The result is finite exactly when `x` lies in the domain of the
-    nonsmooth term.
-    """
-    v = as_vector(x, problem.dimension)
-    return float(problem.smooth.eval(v)) + float(problem.nonsmooth.eval(v))
 
 
 def build_oracle(kind: str, registry: dict, name: str, params, dimension: int):

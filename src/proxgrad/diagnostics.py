@@ -138,8 +138,11 @@ def read_trace_csv(path) -> Trace:
     """
     from .solver import SolverConfig  # deferred; solver imports this module
 
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"not an ASCII file: {exc}") from exc
     lines = [ln for ln in raw.splitlines() if ln.strip()]
     meta = {"problem_name": "", "x0_hash": "", "config": None}
     if lines and lines[0].startswith(_META_PREFIX):

@@ -6,7 +6,7 @@ set-valued at ties; every tie is broken deterministically toward the
 sparser / smaller point so that repeated runs produce identical traces.
 
 ``brute_force_prox`` is an independent 1-D grid oracle used for
-verification: it never shares code with the closed-form/root-solved maps.
+verification: it never shares code with the closed-form maps.
 All oracles are immutable and their operations pure.
 """
 
@@ -96,59 +96,18 @@ def make_l0(lam: float) -> ProxOracle:
     return ProxOracle("l0", peval, prox, continuous_on_domain=False)
 
 
-def _lp_half_scalar(lam: float, gamma: float, v: float) -> float:
-    """Global minimizer of h(x) = (gamma/2)*(x - v)^2 + lam*|x|^(1/2).
-
-    Candidate x = 0 is compared against the stationary root of the smooth
-    branch, found by safeguarded Newton/bisection on
-    ``g(x) = gamma*(x - a) + (lam/2)*x^(-1/2) = 0`` for a = |v|;
-    the sign of v is restored afterward and ties resolve to 0.
-    """
-    a = abs(v)
-    if a == 0.0 or lam == 0.0:
-        return v
-    # g is minimized at xstar; if g stays positive there is no stationary
-    # point of the smooth branch and 0 wins outright.
-    xstar = (lam / (4.0 * gamma)) ** (2.0 / 3.0)
-    if xstar >= a:
-        return 0.0
-
-    def g(x: float) -> float:
-        return gamma * (x - a) + 0.5 * lam / math.sqrt(x)
-
-    if g(xstar) > 0.0:
-        return 0.0
-
-    # larger root of g on [xstar, a]: g(xstar) <= 0, g(a) > 0
-    lo, hi = xstar, a
-    x = 0.5 * (lo + hi)
-    gscale = max(1.0, gamma * a)
-    for _ in range(200):
-        gx = g(x)
-        if abs(gx) <= 1e-12 * gscale:
-            break
-        if gx > 0.0:
-            hi = x
-        else:
-            lo = x
-        dg = gamma - 0.25 * lam * x ** (-1.5)
-        x_newton = x - gx / dg if dg > 0.0 else math.inf
-        x = x_newton if lo < x_newton < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * a:
-            break
-
-    h_root = 0.5 * gamma * (x - a) ** 2 + lam * math.sqrt(x)
-    h_zero = 0.5 * gamma * a * a
-    if h_root < h_zero:
-        return math.copysign(x, v)
-    return 0.0
-
-
 def make_lp_half(lam: float) -> ProxOracle:
     """phi(x) = lam * sum_i |x_i|^(1/2), the p = 1/2 power penalty.
 
-    The coordinatewise prox is computed numerically (root solve to 1e-12
-    stationarity) rather than through a closed form; ties resolve to 0.
+    The coordinatewise prox is the half-thresholding map of Xu, Chang, Xu &
+    Zhang, "L1/2 regularization: a thresholding representation theory and a
+    fast solver", IEEE TNNLS 23(7), 2012, with mu = 2*lam/gamma: v_i is
+    kept when ``|v_i| > (54^(1/3)/4) * mu^(2/3)`` and maps to
+    ``(2/3) v_i (1 + cos(2*pi/3 - (2/3) arccos((mu/8) (|v_i|/3)^(-3/2))))``,
+    every other coordinate maps to 0.  The threshold is tested in the cubed
+    form ``8 gamma^2 |v_i|^3 > 27 lam^2``: the rounded root of the first
+    form misplaces exact ties such as lam = gamma = 1, v_i = 1.5, where 0
+    and (2/3) v_i have equal objective.  Ties resolve to 0.
     """
     lam = float(lam)
     if lam < 0:
@@ -159,7 +118,18 @@ def make_lp_half(lam: float) -> ProxOracle:
 
     def prox(gamma: float, v: Vector) -> Vector:
         g = _check_gamma(gamma)
-        return np.array([_lp_half_scalar(lam, g, float(vi)) for vi in v])
+        v = np.array(v, dtype=np.float64)
+        if lam == 0.0:
+            return v
+        mu = 2.0 * lam / g
+        a = np.abs(v)
+        keep = 8.0 * g * g * a**3 > 27.0 * lam * lam
+        # the arccos argument is inf at v_i = 0, so only kept coordinates
+        # go through the formula
+        phase = np.arccos((mu / 8.0) * (a[keep] / 3.0) ** -1.5)
+        out = np.zeros_like(v)
+        out[keep] = (2.0 / 3.0) * v[keep] * (1.0 + np.cos(2.0 * math.pi / 3.0 - 2.0 * phase / 3.0))
+        return out
 
     return ProxOracle("lp_half", peval, prox)
 

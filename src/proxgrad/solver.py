@@ -245,16 +245,20 @@ class SolveReport:
 def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     """Run the proximal gradient method from x0 until a termination fires.
 
-    The starting point must lie in the domain of the nonsmooth term.  Every
-    accepted iterate stays in the initial sublevel set, and each trace row
-    carries the acceptance certificate that produced it.
+    The starting point must lie in the domain of the nonsmooth term and the
+    smooth term must be finite there; otherwise a ValueError names the term
+    at fault.  Every accepted iterate stays in the initial sublevel set, and
+    each trace row carries the acceptance certificate that produced it.
     """
-    x = as_vector(x0, problem.dimension)
+    x = x0 = as_vector(x0, problem.dimension)
     f_x = float(problem.smooth.eval(x))
     phi_x = float(problem.nonsmooth.eval(x))
     psi_x = f_x + phi_x
-    if not math.isfinite(psi_x):
-        raise ValueError("x0 not in the domain of the nonsmooth term: psi(x0) is not finite")
+    if not math.isfinite(phi_x):
+        raise ValueError("x0 not in the domain of the nonsmooth term: phi(x0) is not finite")
+    if not math.isfinite(f_x):
+        raise ValueError(f"smooth term {problem.smooth.name!r} is not finite at x0: "
+                         f"f(x0) = {f_x}")
     if config.m > 0 and not problem.nonsmooth.continuous_on_domain:
         warnings.warn(
             f"nonmonotone window m={config.m} with a nonsmooth term that is not "
@@ -330,7 +334,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         records=tuple(records),
         config_echo=config,
         problem_name=problem.name,
-        x0_hash=hash_x0(as_vector(x0, problem.dimension)),
+        x0_hash=hash_x0(x0),
     )
     return SolveReport(
         x_final=x,

@@ -91,6 +91,9 @@ class TestRun:
             ({"problem.dimension": True}, "dimension must be a positive integer"),
             ({"solver.m": True}, "m must be a nonnegative integer"),
             ({"output": 5}, "output must be a file path"),
+            ({"problem.smooth": {"name": "quadratic",
+                                 "params": {"A": [[1e200, 0.0], [0.0, 1.0]], "b": [1.0, 0.1]}},
+              "x0": "ones"}, "smooth term 'quadratic' is not finite at x0"),
         ],
     )
     def test_bad_config_exits_1_with_one_line_error(self, tmp_path, capsys, config, fragment):
@@ -168,6 +171,17 @@ class TestCheck:
         code = run_cli(["check", str(trace)])
         assert code == 1
         assert "cannot read trace" in capsys.readouterr().err
+
+    def test_non_ascii_file_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        text = trace.read_text()
+        trace.write_text(text.replace('"problem_name":"', '"problem_name":"\u00e4', 1),
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace: ") and err.count("\n") == 1
 
     def test_bad_config_echo_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxgrad.prox_oracles import (
     brute_force_prox,
@@ -116,6 +118,31 @@ class TestLpHalf:
             if x != 0.0:
                 g = gamma * (x - v) + 0.3 / math.sqrt(x)
                 assert abs(g) <= 1e-10 * max(1.0, gamma * v)
+
+    @pytest.mark.parametrize("lam,gamma,v", [(1.0, 1.0, 1.5), (8.0, 1.0, 6.0), (64.0, 1.0, 24.0)])
+    def test_tie_resolves_to_zero(self, lam, gamma, v):
+        # 8*gamma^2*v^3 == 27*lam^2: x = 0 and x = (2/3)*v have equal objective
+        p = make_lp_half(lam)
+        for s in (1.0, -1.0):
+            assert scalar_prox(p, gamma, s * v) == 0.0
+            assert scalar_prox(p, gamma, s * np.nextafter(v, 0.0)) == 0.0
+            x = scalar_prox(p, gamma, s * np.nextafter(v, math.inf))
+            assert x != 0.0 and math.copysign(1.0, x) == s
+            assert x == pytest.approx(s * 2.0 * v / 3.0, rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(lam=st.floats(0.01, 3.0), gamma=st.floats(0.1, 10.0), v=st.floats(-5.0, 5.0))
+    def test_global_minimizer_property(self, lam, gamma, v):
+        def h(x):
+            return 0.5 * gamma * (x - v) ** 2 + lam * math.sqrt(abs(x))
+
+        p = make_lp_half(lam)
+        x = float(p.prox(gamma, [v])[0])
+        bf = brute_force_prox(lambda t: lam * np.sqrt(np.abs(t)), gamma, v)
+        slack = 1e-12 * max(1.0, h(0.0))
+        assert h(x) <= h(0.0) + slack
+        assert h(x) <= h(bf) + slack
+        assert float(p.prox(gamma, [-v])[0]) == -x
 
 
 class TestBox:
