@@ -7,8 +7,10 @@ a Python float where ``math.inf`` marks points outside the domain.  IEEE
 semantics already give the required behaviour: ``inf`` compares greater than
 every finite value and ``finite + inf == inf``.
 
-All types in this module are immutable values and all operations are pure,
-so problems may be shared freely between concurrently running solves.
+All types in this module are frozen dataclasses and all operations are
+pure.  A smooth oracle's one-entry memo (see `SmoothOracle`) returns on a hit
+what a recompute would, so problems may be shared freely between
+concurrently running solves.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ class SmoothOracle:
     """A continuously differentiable function with an exact gradient.
 
     `eval` and `grad` must be total on all finite vectors of the oracle's
-    dimension; `grad` returns a vector of the same dimension.  Oracles are
-    immutable after construction and reentrant.
+    dimension; `grad` returns a vector of the same dimension.  The dataclass
+    is frozen; an oracle may keep a private one-entry memo of work shared by
+    `eval` and `grad` at one point, whose hits equal a recompute bit for bit.
     """
 
     name: str

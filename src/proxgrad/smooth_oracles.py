@@ -11,7 +11,12 @@ The library ships three families:
     f(x) = sum_i log(1 + exp(-y_i <a_i, x>)), evaluated in overflow-safe
     form because the solver probes large trial steps while backtracking.
 
-Oracles are immutable after construction; evaluation is reentrant.
+Each oracle is a frozen dataclass.  ``quadratic`` and ``logistic`` keep a
+private one-entry memo of the last point's ``A x`` term, so a `grad` at the
+point of the preceding `eval` (as in every backtracking trial) does one pass
+over ``A`` instead of two.  The memo is keyed on the point's dtype, shape and
+bytes, is replaced atomically, and a hit equals a recompute bit for bit;
+concurrent callers can only cause misses.
 """
 
 from __future__ import annotations
@@ -28,6 +33,32 @@ __all__ = [
     "SMOOTH_REGISTRY",
     "build_smooth",
 ]
+
+
+def _last_point_memo(compute):
+    """Wrap ``compute(x)`` in a one-entry cache keyed on x's exact contents.
+
+    The key is ``(dtype, shape, bytes)``: not identity, because a caller may
+    change the array in place between calls, and not ``array_equal``, which
+    equates -0.0 with 0.0 and never matches NaN.  The slot is one tuple, so
+    replacing it is atomic.  The cached array is read-only and callers only
+    ever receive arrays computed from it.
+    """
+    slot = (None, None)
+
+    def cached(x):
+        nonlocal slot
+        x = np.asarray(x)
+        key = (x.dtype.str, x.shape, x.tobytes())
+        last_key, value = slot
+        if key == last_key:
+            return value
+        value = compute(x)
+        value.flags.writeable = False
+        slot = (key, value)
+        return value
+
+    return cached
 
 
 def make_quadratic(A_rows, b) -> SmoothOracle:
@@ -49,12 +80,14 @@ def make_quadratic(A_rows, b) -> SmoothOracle:
             f"shape mismatch: A has {A.shape[0]} rows but b has {bv.size} entries"
         )
 
+    residual = _last_point_memo(lambda x: A @ x - bv)
+
     def feval(x: Vector) -> float:
-        r = A @ x - bv
+        r = residual(x)
         return 0.5 * float(np.dot(r, r))
 
     def fgrad(x: Vector) -> Vector:
-        return A.T @ (A @ x - bv)
+        return A.T @ residual(x)
 
     return SmoothOracle("quadratic", feval, fgrad)
 
@@ -92,12 +125,14 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
 
+    margins = _last_point_memo(lambda x: y * (A @ x))
+
     def feval(x: Vector) -> float:
-        z = y * (A @ x)
+        z = margins(x)
         return float(np.sum(np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)))
 
     def fgrad(x: Vector) -> Vector:
-        z = y * (A @ x)
+        z = margins(x)
         # sigma(-z) = 1/(1+e^z), branch-guarded against exp overflow
         p = np.where(
             z >= 0,

@@ -15,8 +15,10 @@ stationarity residual
 
 checked before any work at each iteration, with a step-norm fallback as a
 secondary exit.  A run is strictly sequential, holds no global mutable
-state, and is deterministic given (problem, config, x0): any number of
-solves on immutable problems may execute concurrently.
+state, and is deterministic given (problem, config, x0).  Problems are
+frozen dataclasses, and each smooth oracle's one-entry memo returns on a hit
+the bits a recompute would give, so any number of solves may share a problem
+concurrently.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
     ``||grad f(x) - grad f(x_k) + gamma (x_k - x)|| <= tau_abs`` which marks
     the candidate as approximately stationary already (reported via
     `early_exit`).  Each trial evaluates f, phi and grad f once at the
-    candidate; the accepted one's gradient is returned as `grad_next`.
+    candidate; the accepted one's gradient is returned as `grad_next`.  A
+    trial whose psi or gradient is not finite passes neither test.
 
     Raises
     ------
@@ -202,13 +205,16 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
         phi_cand = float(problem.nonsmooth.eval(cand))
         psi_cand = f_cand + phi_cand
         grad_cand = problem.smooth.grad(cand)
-        if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
-            return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
-                                   math.sqrt(step_sq), False, grad_cand)
-        inner_res = grad_cand - grad_k + gamma * (x_k - cand)
-        if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
-            return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
-                                   math.sqrt(step_sq), True, grad_cand)
+        # a trial with a non-finite psi or gradient is rejected, whatever
+        # the comparisons below would make of its NaN or inf
+        if math.isfinite(psi_cand) and np.isfinite(grad_cand).all():
+            if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
+                return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
+                                       math.sqrt(step_sq), False, grad_cand)
+            inner_res = grad_cand - grad_k + gamma * (x_k - cand)
+            if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
+                return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
+                                       math.sqrt(step_sq), True, grad_cand)
         gamma = gamma * config.tau
     raise InnerCapExceeded(config.max_inner, gamma / config.tau)
 
@@ -251,8 +257,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     each trace row carries the acceptance certificate that produced it.
     """
     x = x0 = as_vector(x0, problem.dimension)
-    f_x = float(problem.smooth.eval(x))
-    phi_x = float(problem.nonsmooth.eval(x))
+    # an overflow here becomes the ValueError below, not a numpy warning too
+    with np.errstate(all="ignore"):
+        f_x = float(problem.smooth.eval(x))
+        phi_x = float(problem.nonsmooth.eval(x))
     psi_x = f_x + phi_x
     if not math.isfinite(phi_x):
         raise ValueError("x0 not in the domain of the nonsmooth term: phi(x0) is not finite")

@@ -274,13 +274,29 @@ class TestList:
         assert first == second
 
 
-def test_python_dash_m_matches_main(capsys):
+def run_module(args) -> subprocess.CompletedProcess:
+    """`python -m proxgrad ARGS` in a fresh process; it sees stderr that pytest would capture."""
     src = str(Path(proxgrad.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "proxgrad", "list"], capture_output=True,
-                          text=True, env=env, check=True)
+    return subprocess.run([sys.executable, "-m", "proxgrad", *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_python_dash_m_matches_main(capsys):
+    proc = run_module(["list"])
+    assert proc.returncode == 0
     assert run_cli(["list"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_overflow_at_x0_prints_only_the_error_line(tmp_path):
+    # in process, pytest would capture numpy's RuntimeWarning; a child shows it
+    cfg = write_config(tmp_path, **{
+        "problem.smooth": {"name": "quadratic", "params": {"A": [[1e200]], "b": [0.0]}},
+        "problem.dimension": 1, "x0": "ones"})
+    proc = run_module(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: smooth term 'quadratic' is not finite at x0: f(x0) = inf\n"
 
 
 def test_shipped_config_names():

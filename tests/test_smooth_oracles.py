@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -136,3 +138,97 @@ def test_registry_names_and_unknown():
 def test_registry_dimension_check():
     with pytest.raises(ValueError, match="dimension"):
         build_smooth("quadratic", {"A": [[1.0, 0.0]], "b": [1.0]}, 3)
+
+
+# ---- the one-entry memo of quadratic and logistic ------------------------------
+
+A_MEMO = np.random.default_rng(11).standard_normal((5, 4))
+MEMO_BUILDERS = {
+    "quadratic": lambda: make_quadratic(A_MEMO, [0.3, -1.0, 0.5, 2.0, -0.7]),
+    "logistic": lambda: make_logistic(A_MEMO, [1.0, -1.0, -1.0, 1.0, 1.0]),
+}
+memo_kinds = pytest.mark.parametrize("kind", sorted(MEMO_BUILDERS))
+
+
+def fresh_bytes(kind, field, x):
+    """`field` at x of a newly built oracle, whose memo is still empty."""
+    return np.asarray(getattr(MEMO_BUILDERS[kind](), field)(x)).tobytes()
+
+
+def call_bytes(oracle, field, x):
+    return np.asarray(getattr(oracle, field)(x)).tobytes()
+
+
+@memo_kinds
+def test_memo_interleaved_points(kind):
+    oracle = MEMO_BUILDERS[kind]()
+    a, b = np.array([0.5, -1.0, 2.0, 0.0]), np.array([-0.0, 3.0, -2.5, 1.0])
+    for x, field in [(a, "eval"), (a, "grad"), (b, "eval"), (a, "grad"), (b, "grad"),
+                     (a, "eval"), (a, "grad")]:
+        assert call_bytes(oracle, field, x) == fresh_bytes(kind, field, x)
+
+
+@memo_kinds
+def test_memo_sees_in_place_change(kind):
+    oracle = MEMO_BUILDERS[kind]()
+    x = np.array([0.5, -1.0, 2.0, 0.0])
+    oracle.eval(x)
+    x[0] += 1
+    assert call_bytes(oracle, "grad", x) == fresh_bytes(kind, "grad", x)
+    assert call_bytes(oracle, "eval", x) == fresh_bytes(kind, "eval", x)
+
+
+@memo_kinds
+def test_memo_tells_dtypes_with_equal_bytes_apart(kind):
+    oracle = MEMO_BUILDERS[kind]()
+    xi = np.array([1, -2, 3, 4], dtype=np.int64)
+    xf = xi.view(np.float64)
+    assert xi.tobytes() == xf.tobytes()
+    oracle.eval(xf)
+    assert call_bytes(oracle, "grad", xi) == fresh_bytes(kind, "grad", xi)
+    assert call_bytes(oracle, "grad", xf) == fresh_bytes(kind, "grad", xf)
+
+
+@memo_kinds
+def test_memo_hands_out_no_cached_array(kind):
+    oracle = MEMO_BUILDERS[kind]()
+    x = np.array([0.5, -1.0, 2.0, 0.0])
+    oracle.eval(x)
+    oracle.grad(x)[:] = 7.0
+    assert call_bytes(oracle, "grad", x) == fresh_bytes(kind, "grad", x)
+
+
+@memo_kinds
+def test_memo_under_concurrent_callers(kind):
+    # more threads than a small host has cores, started together and
+    # switching as often as possible; a memo that stores its key and its
+    # value in two separate variables fails here
+    oracle = MEMO_BUILDERS[kind]()
+    points = [np.random.default_rng(i).standard_normal(4) for i in range(8)]
+    expected = {(i, f): fresh_bytes(kind, f, x) for i, x in enumerate(points)
+                for f in ("eval", "grad")}
+    mismatches, done = [], []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker(seed):
+        start.wait()
+        order = np.random.default_rng(seed).integers(0, 8, size=3000)
+        for j, i in enumerate(order):
+            field = "eval" if j % 2 else "grad"
+            if np.asarray(getattr(oracle, field)(points[i])).tobytes() != expected[i, field]:
+                mismatches.append((seed, j))
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(8))
+    assert mismatches == []

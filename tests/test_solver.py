@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxgrad.core import make_problem
+from proxgrad.core import SmoothOracle, make_problem
 from proxgrad.prox_oracles import brute_force_prox, make_box, make_l0, make_l1, make_zero
 from proxgrad.smooth_oracles import make_quadratic, make_quartic
 from proxgrad.solver import (
@@ -186,6 +186,43 @@ class TestBacktrack:
         x = np.array([2.0])
         with pytest.raises(InnerCapExceeded):
             backtrack(problem, x, problem.smooth.grad(x), 1e-8, 4.0, config)
+
+
+class TestNonFiniteTrial:
+    """A trial whose psi or gradient is not finite passes neither test."""
+
+    @staticmethod
+    def problem(f_cand, g_cand):
+        # f = 0 and grad f = 1 at x0 = 1; every other point, and so every
+        # candidate 1 - 1/gamma of the zero prox, gets f_cand and g_cand.
+        # With g_cand = 0 the inner stationarity residual is exactly 0.
+        def feval(x):
+            return 0.0 if x[0] == 1.0 else f_cand
+
+        def fgrad(x):
+            return np.array([1.0 if x[0] == 1.0 else g_cand])
+
+        return make_problem(SmoothOracle("handmade", feval, fgrad), make_zero(), 1)
+
+    @pytest.mark.parametrize("f_cand, g_cand", [
+        (math.nan, 0.0),  # would leave through the inner stationarity test
+        (math.inf, 0.0),
+        (-1.0, math.inf),  # would pass the decrease test
+        (-1.0, math.nan),
+    ])
+    def test_rejected_and_gamma_grows(self, f_cand, g_cand):
+        problem = self.problem(f_cand, g_cand)
+        x = np.array([1.0])
+        with pytest.raises(InnerCapExceeded) as info:
+            backtrack(problem, x, problem.smooth.grad(x), 1.0, 0.0, SolverConfig(max_inner=4))
+        assert info.value.last_gamma == 8.0
+
+    def test_solve_records_no_nan_row(self):
+        config = SolverConfig(max_inner=4, gamma0_strategy="constant", m=0)
+        report = solve(self.problem(math.nan, 0.0), config, [1.0])
+        assert report.status == "inner_loop_cap"
+        assert report.trace.records == ()
+        assert report.psi_final == 0.0
 
 
 class TestOuterResidual:
