@@ -44,9 +44,7 @@ from .smooth_oracles import (
     make_quartic,
 )
 from .solver import (
-    BacktrackResult,
     InnerCapExceeded,
-    PrevStep,
     SolveReport,
     SolverConfig,
     backtrack,

@@ -15,7 +15,6 @@ quantity entered the prescribed band.  Safe for concurrent batch use.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -134,7 +133,8 @@ def read_trace_csv(path) -> Trace:
 
     Validation is purely structural (field counts, number formats,
     contiguous indices): semantically corrupted values must still load so
-    the checkers can flag them.
+    the checkers can flag them.  Rows are split on commas, since the writer
+    never quotes; a quoted field is a format error.
     """
     from .solver import SolverConfig  # deferred; solver imports this module
 
@@ -155,7 +155,7 @@ def read_trace_csv(path) -> Trace:
         raise TraceFormatError(f"missing or wrong header; expected {TRACE_HEADER!r}")
     records = []
     for ln in lines[1:]:
-        parts = next(csv.reader([ln]))
+        parts = ln.split(",")
         if len(parts) != 10:
             raise TraceFormatError(f"row has {len(parts)} fields, expected 10: {ln!r}")
         try:

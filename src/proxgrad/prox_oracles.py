@@ -145,7 +145,7 @@ def make_box(lo, hi) -> ProxOracle:
         raise ValueError("box is empty: lo > hi in some coordinate")
 
     def peval(x: Vector) -> float:
-        inside = bool(np.all(x >= lo_v) and np.all(x <= hi_v))
+        inside = bool((x >= lo_v).all() and (x <= hi_v).all())
         return 0.0 if inside else math.inf
 
     def prox(gamma: float, v: Vector) -> Vector:

@@ -102,7 +102,7 @@ def make_quartic(dimension: int) -> SmoothOracle:
         raise ValueError("dimension must be >= 1")
 
     def feval(x: Vector) -> float:
-        return 0.25 * float(np.sum(x**4))
+        return 0.25 * float((x**4).sum())
 
     def fgrad(x: Vector) -> Vector:
         return x**3

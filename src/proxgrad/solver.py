@@ -35,8 +35,6 @@ from .diagnostics import IterateRecord, Trace, hash_x0
 
 __all__ = [
     "SolverConfig",
-    "PrevStep",
-    "BacktrackResult",
     "InnerCapExceeded",
     "SolveReport",
     "subproblem_solve",
@@ -105,36 +103,31 @@ class SolverConfig:
             raise ValueError(f"max_inner must be a positive integer, got {self.max_inner}")
 
 
-@dataclass(frozen=True)
-class PrevStep:
-    """Data of the previous accepted step, feeding the spectral guess."""
-
-    s: Vector  # x^k - x^{k-1}
-    y: Vector  # grad f(x^k) - grad f(x^{k-1})
-    gamma: float  # accepted gamma_{k-1}
-
-
 def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def gamma0_select(config: SolverConfig, prev: PrevStep | None) -> float:
+def gamma0_select(config: SolverConfig,
+                  prev: tuple[Vector, Vector, float] | None) -> float:
     """Pick the trial stepsize parameter gamma0 in [gamma_min, gamma_max].
 
-    The ``constant`` strategy clamps the configured value.  The
-    ``bb_safeguarded`` strategy clamps the spectral quotient <s,y>/<s,s>,
-    falling back to the previous accepted gamma when <s,y> <= 0 or s = 0,
-    and to 1 on the first iteration.
+    `prev` is the previous accepted step ``(s, y, gamma)``: s = x^k - x^{k-1},
+    y = grad f(x^k) - grad f(x^{k-1}) and its accepted gamma_{k-1}; None on
+    the first iteration.  The ``constant`` strategy clamps the configured
+    value.  The ``bb_safeguarded`` strategy clamps the spectral quotient
+    <s,y>/<s,s>, falling back to the previous accepted gamma when <s,y> <= 0
+    or s = 0, and to 1 on the first iteration.
     """
     if config.gamma0_strategy == "constant":
         return _clamp(config.gamma0_value, config.gamma_min, config.gamma_max)
     if prev is None:
         return _clamp(1.0, config.gamma_min, config.gamma_max)
-    sy = float(np.dot(prev.s, prev.y))
-    ss = float(np.dot(prev.s, prev.s))
+    s, y, gamma_prev = prev
+    sy = float(np.dot(s, y))
+    ss = float(np.dot(s, s))
     if sy > 0.0 and ss > 0.0:
         return _clamp(sy / ss, config.gamma_min, config.gamma_max)
-    return _clamp(prev.gamma, config.gamma_min, config.gamma_max)
+    return _clamp(gamma_prev, config.gamma_min, config.gamma_max)
 
 
 def subproblem_solve(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
@@ -164,21 +157,8 @@ class InnerCapExceeded(Exception):
         self.last_gamma = last_gamma
 
 
-@dataclass(frozen=True)
-class BacktrackResult:
-    x_next: Vector
-    gamma: float
-    inner_iters: int
-    psi_next: float
-    f_next: float
-    phi_next: float
-    step_norm: float
-    early_exit: bool
-    grad_next: Vector
-
-
 def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
-              gamma0_k: float, psi_ref: float, config: SolverConfig) -> BacktrackResult:
+              gamma0_k: float, psi_ref: float, config: SolverConfig) -> tuple:
     """Inner loop: grow gamma by factors of tau until a candidate is accepted.
 
     A candidate passes either the sufficient-decrease test against `psi_ref`
@@ -186,8 +166,14 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
     ``||grad f(x) - grad f(x_k) + gamma (x_k - x)|| <= tau_abs`` which marks
     the candidate as approximately stationary already (reported via
     `early_exit`).  Each trial evaluates f, phi and grad f once at the
-    candidate; the accepted one's gradient is returned as `grad_next`.  A
-    trial whose psi or gradient is not finite passes neither test.
+    candidate.  A trial whose psi or gradient is not finite passes neither
+    test.
+
+    Returns the plain tuple ``(x_next, gamma, inner_iters, psi_next, f_next,
+    phi_next, step_norm, early_exit, grad_next)`` of the accepted candidate:
+    its accepted gamma, the number of rejected trials before it, its
+    objective pieces, ``||x_next - x_k||``, the test that accepted it and
+    its gradient.
 
     Raises
     ------
@@ -197,7 +183,7 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
     gamma = gamma0_k
     for i in range(config.max_inner):
         cand = subproblem_solve(problem, x_k, grad_k, gamma)
-        if not np.all(np.isfinite(cand)):
+        if not np.isfinite(cand).all():
             raise ValueError("prox oracle produced a non-finite candidate")
         d = cand - x_k
         step_sq = float(np.dot(d, d))
@@ -209,12 +195,12 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
         # the comparisons below would make of its NaN or inf
         if math.isfinite(psi_cand) and np.isfinite(grad_cand).all():
             if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
-                return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
-                                       math.sqrt(step_sq), False, grad_cand)
+                return (cand, gamma, i, psi_cand, f_cand, phi_cand,
+                        math.sqrt(step_sq), False, grad_cand)
             inner_res = grad_cand - grad_k + gamma * (x_k - cand)
             if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
-                return BacktrackResult(cand, gamma, i, psi_cand, f_cand, phi_cand,
-                                       math.sqrt(step_sq), True, grad_cand)
+                return (cand, gamma, i, psi_cand, f_cand, phi_cand,
+                        math.sqrt(step_sq), True, grad_cand)
         gamma = gamma * config.tau
     raise InnerCapExceeded(config.max_inner, gamma / config.tau)
 
@@ -257,86 +243,91 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     each trace row carries the acceptance certificate that produced it.
     """
     x = x0 = as_vector(x0, problem.dimension)
-    # an overflow here becomes the ValueError below, not a numpy warning too
+    # one errstate, entered once per solve: an overflow at x0 or at a trial
+    # point is met by the finiteness checks here and in backtrack, not
+    # printed as a numpy warning too
     with np.errstate(all="ignore"):
         f_x = float(problem.smooth.eval(x))
         phi_x = float(problem.nonsmooth.eval(x))
-    psi_x = f_x + phi_x
-    if not math.isfinite(phi_x):
-        raise ValueError("x0 not in the domain of the nonsmooth term: phi(x0) is not finite")
-    if not math.isfinite(f_x):
-        raise ValueError(f"smooth term {problem.smooth.name!r} is not finite at x0: "
-                         f"f(x0) = {f_x}")
-    if config.m > 0 and not problem.nonsmooth.continuous_on_domain:
-        warnings.warn(
-            f"nonmonotone window m={config.m} with a nonsmooth term that is not "
-            "continuous on its domain: the envelope-based convergence guarantees "
-            "do not apply",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    grad = problem.smooth.grad(x)
-    # the last min(k, m) + 1 accepted objective values; with m = 0 their
-    # maximum is the current one and the test is plain sufficient decrease
-    window = deque([psi_x], maxlen=config.m + 1)
-    records: list[IterateRecord] = []
-    early_ks: list[int] = []
-    prev: PrevStep | None = None
-    x_prev = grad_prev = None
-    step_small = False
-    k = 0
-
-    while True:
-        if prev is not None:
-            residual = outer_residual(x_prev, x, prev.gamma, grad_prev, grad)
-        else:
-            residual = math.inf
-        if residual <= config.tau_abs:
-            status = STATUS_CONVERGED_RESIDUAL
-            break
-        if step_small:
-            # the fallback exit is secondary: it fires only after the
-            # residual check at the new iterate declined to certify
-            status = STATUS_CONVERGED_STEP
-            break
-        if k >= config.max_outer:
-            status = STATUS_MAX_OUTER
-            break
-
-        gamma0 = gamma0_select(config, prev)
-        psi_ref = max(window)
-        try:
-            bt = backtrack(problem, x, grad, gamma0, psi_ref, config)
-        except InnerCapExceeded:
-            status = STATUS_INNER_CAP
-            break
-
-        records.append(
-            IterateRecord(
-                k=k,
-                psi=psi_x,
-                f_val=f_x,
-                phi_val=phi_x,
-                gamma0=gamma0,
-                gamma=bt.gamma,
-                inner_iters=bt.inner_iters,
-                step_norm=bt.step_norm,
-                residual=residual,
-                accepted_ref=psi_ref,
+        psi_x = f_x + phi_x
+        if not math.isfinite(phi_x):
+            raise ValueError("x0 not in the domain of the nonsmooth term: phi(x0) is not finite")
+        if not math.isfinite(f_x):
+            raise ValueError(f"smooth term {problem.smooth.name!r} is not finite at x0: "
+                             f"f(x0) = {f_x}")
+        if config.m > 0 and not problem.nonsmooth.continuous_on_domain:
+            warnings.warn(
+                f"nonmonotone window m={config.m} with a nonsmooth term that is not "
+                "continuous on its domain: the envelope-based convergence guarantees "
+                "do not apply",
+                UserWarning,
+                stacklevel=2,
             )
-        )
-        if bt.early_exit:
-            early_ks.append(k)
 
-        prev = PrevStep(s=bt.x_next - x, y=bt.grad_next - grad, gamma=bt.gamma)
-        x_prev, grad_prev = x, grad
-        x, grad = bt.x_next, bt.grad_next
-        f_x, phi_x, psi_x = bt.f_next, bt.phi_next, bt.psi_next
-        window.append(psi_x)
-        step_small = (bt.step_norm <= config.eps_step
-                      and bt.gamma <= config.gamma_max * config.tau)
-        k += 1
+        grad = problem.smooth.grad(x)
+        # the last min(k, m) + 1 accepted objective values; with m = 0 their
+        # maximum is the current one and the test is plain sufficient decrease
+        window = deque([psi_x], maxlen=config.m + 1)
+        records: list[IterateRecord] = []
+        early_ks: list[int] = []
+        # the previous accepted step (s, y, gamma) and the iterate and
+        # gradient it started from; None before the first step
+        prev = x_prev = grad_prev = None
+        step_small = False
+        k = 0
+
+        while True:
+            if prev is None:
+                residual = math.inf
+            else:
+                residual = outer_residual(x_prev, x, gamma, grad_prev, grad)
+            if residual <= config.tau_abs:
+                status = STATUS_CONVERGED_RESIDUAL
+                break
+            if step_small:
+                # the fallback exit is secondary: it fires only after the
+                # residual check at the new iterate declined to certify
+                status = STATUS_CONVERGED_STEP
+                break
+            if k >= config.max_outer:
+                status = STATUS_MAX_OUTER
+                break
+
+            gamma0 = gamma0_select(config, prev)
+            psi_ref = max(window)
+            try:
+                (x_next, gamma, inner_iters, psi_next, f_next, phi_next,
+                 step_norm, early_exit, grad_next) = backtrack(
+                    problem, x, grad, gamma0, psi_ref, config)
+            except InnerCapExceeded:
+                status = STATUS_INNER_CAP
+                break
+
+            records.append(
+                IterateRecord(
+                    k=k,
+                    psi=psi_x,
+                    f_val=f_x,
+                    phi_val=phi_x,
+                    gamma0=gamma0,
+                    gamma=gamma,
+                    inner_iters=inner_iters,
+                    step_norm=step_norm,
+                    residual=residual,
+                    accepted_ref=psi_ref,
+                )
+            )
+            if early_exit:
+                early_ks.append(k)
+
+            prev = (x_next - x, grad_next - grad, gamma)
+            x_prev, grad_prev = x, grad
+            x, grad = x_next, grad_next
+            f_x, phi_x, psi_x = f_next, phi_next, psi_next
+            window.append(psi_x)
+            step_small = (step_norm <= config.eps_step
+                          and gamma <= config.gamma_max * config.tau)
+            k += 1
 
     trace = Trace(
         records=tuple(records),

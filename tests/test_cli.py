@@ -183,6 +183,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read trace: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("row", ['1,"0.5",0,0.5,1,1,0,0,,0.5', "1,0.5,0,0.5,1,1,0,0,,0.5,0"])
+    def test_quoted_or_extra_field_exits_1(self, tmp_path, capsys, row):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        lines[3] = row
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace: ") and err.count("\n") == 1
+
     def test_bad_config_echo_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
@@ -297,6 +309,26 @@ def test_overflow_at_x0_prints_only_the_error_line(tmp_path):
     proc = run_module(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
     assert proc.returncode == 1
     assert proc.stderr == "error: smooth term 'quadratic' is not finite at x0: f(x0) = inf\n"
+
+
+@pytest.mark.parametrize("overrides, stdout", [
+    # the first trial step overflows in power and in dot
+    ({"problem.smooth": {"name": "quartic", "params": {}},
+      "problem.nonsmooth": {"name": "zero", "params": {}},
+      "problem.dimension": 1, "x0": [1e70], "solver.m": 0,
+      "solver.gamma0_strategy": "constant", "solver.gamma0_value": 1.0},
+     "status=inner_loop_cap k=0 psi=2.5000000000000006e+279 residual=inf\n"),
+    # huge margins overflow the inner stationarity residual
+    ({"problem.smooth": {"name": "logistic",
+                         "params": {"A": [[1e300, 0.0], [0.0, -1e300]], "labels": [1.0, -1.0]}},
+      "problem.nonsmooth": {"name": "l1", "params": {"lam": 0.1}},
+      "problem.dimension": 2, "x0": "ones"},
+     "status=inner_loop_cap k=101 psi=2.5711164757569601e-33 residual=0.14142135623730953\n"),
+])
+def test_overflow_inside_solve_prints_no_warning(tmp_path, overrides, stdout):
+    cfg = write_config(tmp_path, **overrides)
+    proc = run_module(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, stdout, "")
 
 
 def test_shipped_config_names():

@@ -19,8 +19,8 @@ def test_as_vector_rejects_nonfinite():
 
 
 PUBLIC_NAMES = [
-    "BacktrackResult", "CompositeProblem", "GammaBoundReport", "InnerCapExceeded",
-    "IterateRecord", "PROX_REGISTRY", "PrevStep", "ProxOracle", "SMOOTH_REGISTRY",
+    "CompositeProblem", "GammaBoundReport", "InnerCapExceeded",
+    "IterateRecord", "PROX_REGISTRY", "ProxOracle", "SMOOTH_REGISTRY",
     "SmoothOracle", "SolveReport", "SolverConfig", "Trace", "TraceFormatError", "Violation",
     "as_vector", "backtrack", "brute_force_prox", "build_prox", "build_smooth",
     "check_acceptance", "check_envelope", "check_gamma_step_product", "check_level_set",

@@ -188,6 +188,21 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda parts: parts[:1] + [f'"{parts[1]}"'] + parts[2:], "bad row"),
+        (lambda parts: parts + ["0"], "row has 11 fields"),
+    ])
+    def test_rejects_quoted_field_and_extra_field(self, tmp_path, edit, fragment):
+        # the writer never quotes, so a quoted field is not a number
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=fragment):
+            read_trace_csv(path)
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -9,7 +9,6 @@ from proxgrad.prox_oracles import brute_force_prox, make_box, make_l0, make_l1, 
 from proxgrad.smooth_oracles import make_quadratic, make_quartic
 from proxgrad.solver import (
     InnerCapExceeded,
-    PrevStep,
     SolverConfig,
     backtrack,
     gamma0_select,
@@ -127,19 +126,19 @@ class TestGamma0Select:
     def test_bb_rayleigh_quotient_of_identity(self):
         config = SolverConfig()
         s = np.array([0.3, -0.7])
-        prev = PrevStep(s=s, y=s.copy(), gamma=4.0)
+        prev = (s, s.copy(), 4.0)
         assert gamma0_select(config, prev) == 1.0
 
     def test_bb_safeguard_on_negative_curvature(self):
         config = SolverConfig()
-        prev = PrevStep(s=np.array([1.0]), y=np.array([-0.3]), gamma=2.5)
+        prev = (np.array([1.0]), np.array([-0.3]), 2.5)
         out = gamma0_select(config, prev)
         assert out == 2.5
         assert out > 0
 
     def test_bb_zero_step_falls_back(self):
         config = SolverConfig()
-        prev = PrevStep(s=np.zeros(2), y=np.zeros(2), gamma=0.5)
+        prev = (np.zeros(2), np.zeros(2), 0.5)
         assert gamma0_select(config, prev) == 0.5
 
     def test_first_iteration_default(self):
@@ -151,18 +150,20 @@ class TestBacktrack:
         problem = make_problem(half_x_squared(), make_zero(), 1)
         config = SolverConfig(delta=0.5, tau=2.0)
         x = np.array([1.0])
-        res = backtrack(problem, x, problem.smooth.grad(x), 1.0, 0.5, config)
-        assert res.inner_iters == 0
-        assert np.array_equal(res.x_next, [0.0])
-        assert res.psi_next == 0.0  # 0 <= 0.5 - 0.25
+        x_next, _, inner_iters, psi_next, *_ = backtrack(
+            problem, x, problem.smooth.grad(x), 1.0, 0.5, config)
+        assert inner_iters == 0
+        assert np.array_equal(x_next, [0.0])
+        assert psi_next == 0.0  # 0 <= 0.5 - 0.25
 
     def test_stationary_point_is_fixed(self):
         problem = make_problem(half_x_squared(2), make_zero(), 2)
         x = np.zeros(2)
-        res = backtrack(problem, x, np.zeros(2), 1.0, 0.0, SolverConfig())
-        assert res.inner_iters == 0
-        assert res.step_norm == 0.0
-        assert np.array_equal(res.x_next, x)
+        x_next, _, inner_iters, _, _, _, step_norm, _, _ = backtrack(
+            problem, x, np.zeros(2), 1.0, 0.0, SolverConfig())
+        assert inner_iters == 0
+        assert step_norm == 0.0
+        assert np.array_equal(x_next, x)
 
     def test_quartic_overshoot_forces_backtracking(self):
         problem = make_problem(make_quartic(1), make_zero(), 1)
@@ -176,9 +177,9 @@ class TestBacktrack:
         psi_cand0 = problem.smooth.eval(cand0)
         step0 = norm(cand0 - x)
         assert psi_cand0 > psi_ref - config.delta * (gamma0 / 2.0) * step0**2
-        res = backtrack(problem, x, grad, gamma0, psi_ref, config)
-        assert res.inner_iters > 0
-        assert res.gamma == pytest.approx(gamma0 * config.tau**res.inner_iters, rel=1e-12)
+        _, gamma, inner_iters, *_ = backtrack(problem, x, grad, gamma0, psi_ref, config)
+        assert inner_iters > 0
+        assert gamma == pytest.approx(gamma0 * config.tau**inner_iters, rel=1e-12)
 
     def test_inner_cap_raises(self):
         problem = make_problem(make_quartic(1), make_zero(), 1)
