@@ -21,6 +21,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .solver import SolverConfig
 
@@ -93,12 +95,13 @@ class Trace:
 
 def hash_x0(x0) -> str:
     """Short deterministic checksum of a starting point."""
-    text = ",".join(_fmt(float(c)) for c in x0)
+    text = ",".join(["%.17g" % c for c in np.asarray(x0, dtype=np.float64).tolist()])
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# One trace row; "%.17g" gives the bytes of format(value, ".17g").  The
+# residual goes in as a string, since its k = 0 sentinel is an empty field.
+_ROW_FORMAT = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s,%.17g"
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -118,12 +121,10 @@ def write_trace_csv(trace: Trace, path) -> None:
     lines = [_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     lines.append(TRACE_HEADER)
     for r in trace.records:
-        residual = "" if math.isinf(r.residual) else _fmt(r.residual)
-        lines.append(
-            f"{r.k},{_fmt(r.f_val)},{_fmt(r.phi_val)},{_fmt(r.psi)},"
-            f"{_fmt(r.gamma0)},{_fmt(r.gamma)},{r.inner_iters},"
-            f"{_fmt(r.step_norm)},{residual},{_fmt(r.accepted_ref)}"
-        )
+        residual = "" if math.isinf(r.residual) else "%.17g" % r.residual
+        lines.append(_ROW_FORMAT % (
+            r.k, r.f_val, r.phi_val, r.psi, r.gamma0, r.gamma, r.inner_iters,
+            r.step_norm, residual, r.accepted_ref))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -145,12 +145,13 @@ def make_box(lo, hi) -> ProxOracle:
         raise ValueError("box is empty: lo > hi in some coordinate")
 
     def peval(x: Vector) -> float:
-        inside = bool((x >= lo_v).all() and (x <= hi_v).all())
+        inside = bool(((x >= lo_v) & (x <= hi_v)).all())
         return 0.0 if inside else math.inf
 
     def prox(gamma: float, v: Vector) -> Vector:
         _check_gamma(gamma)
-        return np.clip(v, lo_v, hi_v)
+        # the method np.clip dispatches to, without its Python wrapper
+        return np.asarray(v).clip(lo_v, hi_v)
 
     return ProxOracle("box", peval, prox)
 

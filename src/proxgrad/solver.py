@@ -167,7 +167,9 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
     the candidate as approximately stationary already (reported via
     `early_exit`).  Each trial evaluates f, phi and grad f once at the
     candidate.  A trial whose psi or gradient is not finite passes neither
-    test.
+    test.  Those checks square the step and the gradient, so a huge finite
+    one overflows; `solve` calls this under ``np.errstate(all="ignore")``
+    to keep numpy's overflow warning off stderr.
 
     Returns the plain tuple ``(x_next, gamma, inner_iters, psi_next, f_next,
     phi_next, step_norm, early_exit, grad_next)`` of the accepted candidate:
@@ -183,17 +185,22 @@ def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
     gamma = gamma0_k
     for i in range(config.max_inner):
         cand = subproblem_solve(problem, x_k, grad_k, gamma)
-        if not np.isfinite(cand).all():
-            raise ValueError("prox oracle produced a non-finite candidate")
         d = cand - x_k
         step_sq = float(np.dot(d, d))
+        # a non-finite coordinate of cand makes step_sq inf or NaN, so the
+        # array check runs whenever it could fail (and on an overflow too)
+        if not math.isfinite(step_sq) and not np.isfinite(cand).all():
+            raise ValueError("prox oracle produced a non-finite candidate")
         f_cand = float(problem.smooth.eval(cand))
         phi_cand = float(problem.nonsmooth.eval(cand))
         psi_cand = f_cand + phi_cand
         grad_cand = problem.smooth.grad(cand)
         # a trial with a non-finite psi or gradient is rejected, whatever
-        # the comparisons below would make of its NaN or inf
-        if math.isfinite(psi_cand) and np.isfinite(grad_cand).all():
+        # the comparisons below would make of its NaN or inf; a finite
+        # <g, g> certifies a finite gradient, as step_sq does cand
+        if math.isfinite(psi_cand) and (
+                math.isfinite(float(np.dot(grad_cand, grad_cand)))
+                or np.isfinite(grad_cand).all()):
             if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
                 return (cand, gamma, i, psi_cand, f_cand, phi_cand,
                         math.sqrt(step_sq), False, grad_cand)

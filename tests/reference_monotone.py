@@ -2,8 +2,10 @@
 
 Used by the test suite as the cross-check for the unified engine's m = 0
 path: no window machinery, no shared solver code, just the algorithm written
-out directly.  The floating-point expressions deliberately mirror the
-engine's operation order so that the two traces can be compared bitwise.
+out directly.  Like the engine, it raises on a non-finite candidate and a
+trial whose psi or gradient is not finite passes neither test.  The
+floating-point expressions deliberately mirror the engine's operation order
+so that the two traces can be compared bitwise.
 """
 
 import math
@@ -69,16 +71,22 @@ def reference_monotone_solve(problem, config, x0) -> SolveReport:
         accepted = None
         for i in range(config.max_inner):
             cand = problem.nonsmooth.prox(gamma, x - grad / gamma)
+            if not np.isfinite(cand).all():
+                raise ValueError("prox oracle produced a non-finite candidate")
             d = cand - x
             step_sq = float(np.dot(d, d))
             f_cand = float(problem.smooth.eval(cand))
             phi_cand = float(problem.nonsmooth.eval(cand))
             psi_cand = f_cand + phi_cand
+            grad_cand = problem.smooth.grad(cand)
+            # a trial whose psi or gradient is not finite passes neither test
+            if not (math.isfinite(psi_cand) and np.isfinite(grad_cand).all()):
+                gamma = gamma * config.tau
+                continue
             if psi_cand <= psi_x - config.delta * (gamma / 2.0) * step_sq:
                 accepted = (cand, gamma, i, psi_cand, f_cand, phi_cand,
-                            math.sqrt(step_sq), None)
+                            math.sqrt(step_sq), grad_cand)
                 break
-            grad_cand = problem.smooth.grad(cand)
             ivec = grad_cand - grad + gamma * (x - cand)
             if math.sqrt(float(np.dot(ivec, ivec))) <= config.tau_abs:
                 accepted = (cand, gamma, i, psi_cand, f_cand, phi_cand,
@@ -89,14 +97,13 @@ def reference_monotone_solve(problem, config, x0) -> SolveReport:
             status = "inner_loop_cap"
             break
 
-        cand, gamma, i, psi_cand, f_cand, phi_cand, step_norm, grad_cand = accepted
+        cand, gamma, i, psi_cand, f_cand, phi_cand, step_norm, grad_next = accepted
         records.append(
             IterateRecord(k=k, psi=psi_x, f_val=f_x, phi_val=phi_x,
                           gamma0=gamma0, gamma=gamma, inner_iters=i,
                           step_norm=step_norm, residual=residual,
                           accepted_ref=psi_x)
         )
-        grad_next = grad_cand if grad_cand is not None else problem.smooth.grad(cand)
         x_prev, grad_prev, gamma_prev = x, grad, gamma
         x, grad = cand, grad_next
         f_x, phi_x, psi_x = f_cand, phi_cand, psi_cand

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from proxgrad.diagnostics import (
@@ -13,6 +15,7 @@ from proxgrad.diagnostics import (
     check_level_set,
     check_vanishing_steps,
     gamma_bound_report,
+    hash_x0,
     read_trace_csv,
     write_trace_csv,
 )
@@ -174,6 +177,35 @@ class TestTraceCsv:
         assert "0.10000000000000001" in row  # 17 significant digits
         assert "0.33333333333333331" in row
         assert read_trace_csv(path).records[0].step_norm == 1 / 3
+
+    def test_row_and_x0_bytes_match_format_spec(self, tmp_path):
+        # each field as format(value, ".17g") gives it, and an infinite
+        # residual of either sign as an empty field
+        def fmt(value):
+            return f"{value:.17g}"
+
+        values = [-0.0, 5e-324, 1e308, 1 / 3, math.nan, math.inf, -math.inf]
+        records = tuple(
+            IterateRecord(k=k, psi=v, f_val=values[k - 1], phi_val=values[k - 2],
+                          gamma0=values[k - 3], gamma=values[k - 4], inner_iters=k,
+                          step_norm=values[k - 5], residual=values[k - 6],
+                          accepted_ref=v)
+            for k, v in enumerate(values))
+        path = tmp_path / "t.csv"
+        write_trace_csv(Trace(records=records), path)
+        want = []
+        for r in records:
+            residual = "" if math.isinf(r.residual) else fmt(r.residual)
+            want.append(f"{r.k},{fmt(r.f_val)},{fmt(r.phi_val)},{fmt(r.psi)},"
+                        f"{fmt(r.gamma0)},{fmt(r.gamma)},{r.inner_iters},"
+                        f"{fmt(r.step_norm)},{residual},{fmt(r.accepted_ref)}")
+        rows = path.read_text().splitlines()[2:]
+        assert rows == want
+        assert sum(row.split(",")[8] == "" for row in rows) == 2
+        x0 = np.array(values)
+        text = ",".join(fmt(float(c)) for c in x0)
+        assert hash_x0(x0) == hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+        assert hash_x0(values) == hash_x0(x0)
 
     def test_byte_determinism(self, tmp_path):
         trace, _ = lasso_trace()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,32 @@ class TestBox:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError, match="lo > hi"):
             make_box([0.0, 1.0], [1.0, 0.0])
+
+    # the bounds must be finite; the points need not be
+    BOUNDS = list(itertools.product([-0.0, 0.0, -1.0], [0.0, -0.0, 1.0]))
+    POINTS = [math.nan, 0.0, -0.0, INF, -INF, 1.0, -1.0, 5e-324]
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_prox_is_np_clip_bit_for_bit(self, lo, hi):
+        n = len(self.POINTS)
+        lo_v, hi_v = np.full(n, lo), np.full(n, hi)
+        b = make_box(lo_v, hi_v)
+        for v in (np.array(self.POINTS), self.POINTS):
+            got = b.prox(1.0, v)
+            want = np.clip(v, lo_v, hi_v)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_eval_matches_two_reductions(self, lo, hi):
+        b = make_box([lo], [hi])
+        lo_v, hi_v = np.array([lo]), np.array([hi])
+        for x in self.POINTS:
+            x = np.array([x])
+            inside = bool((x >= lo_v).all() and (x <= hi_v).all())
+            assert b.eval(x) == (0.0 if inside else INF)
+        assert b.eval(np.array([math.nan])) == INF
+        assert b.eval(np.array([lo])) == b.eval(np.array([hi])) == 0.0
 
 
 class TestSphere:

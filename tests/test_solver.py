@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from proxgrad.core import SmoothOracle, make_problem
+from proxgrad.core import ProxOracle, SmoothOracle, make_problem
 from proxgrad.prox_oracles import brute_force_prox, make_box, make_l0, make_l1, make_zero
 from proxgrad.smooth_oracles import make_quadratic, make_quartic
 from proxgrad.solver import (
@@ -20,6 +20,7 @@ from proxgrad.solver import (
 
 from conftest import load_shipped, solve_quiet
 from reference_monotone import reference_monotone_solve
+from reference_nonmonotone import reference_nonmonotone_solve
 
 
 def norm(v):
@@ -28,6 +29,13 @@ def norm(v):
 
 def half_x_squared(dim=1):
     return make_quadratic(np.eye(dim), np.zeros(dim))
+
+
+def reference_solve(problem, config, x0):
+    """The independent reference for the engine at config.m."""
+    if config.m == 0:
+        return reference_monotone_solve(problem, config, x0)
+    return reference_nonmonotone_solve(problem, config, x0)
 
 
 class TestSolverConfig:
@@ -144,6 +152,23 @@ class TestGamma0Select:
     def test_first_iteration_default(self):
         assert gamma0_select(SolverConfig(), None) == 1.0
 
+    def test_fallback_after_backtracking_takes_the_accepted_gamma(self):
+        # f = 10 (x^4/4 - x^2) from x0 = 0.1: the first trial (gamma 1)
+        # overshoots and is rejected, gamma 2 lands where the gradient has
+        # fallen, so <s, y> < 0 and the next guess is the accepted gamma 2,
+        # not the trial gamma0 1
+        well = SmoothOracle("scaled_double_well",
+                            lambda x: float(10.0 * (0.25 * x[0] ** 4 - x[0] ** 2)),
+                            lambda x: 10.0 * (x**3 - 2.0 * x))
+        problem = make_problem(well, make_zero(), 1)
+        config = SolverConfig(m=0, max_outer=2)
+        first, second = solve(problem, config, [0.1]).trace.records
+        assert (first.gamma0, first.gamma, first.inner_iters) == (1.0, 2.0, 1)
+        x0 = np.array([0.1])
+        x1 = x0 - well.grad(x0) / first.gamma
+        assert float(np.dot(x1 - x0, well.grad(x1) - well.grad(x0))) < 0.0
+        assert second.gamma0 == min(max(first.gamma, config.gamma_min), config.gamma_max)
+
 
 class TestBacktrack:
     def test_immediate_acceptance(self):
@@ -224,6 +249,72 @@ class TestNonFiniteTrial:
         assert report.status == "inner_loop_cap"
         assert report.trace.records == ()
         assert report.psi_final == 0.0
+
+    @staticmethod
+    def walled_problem(f_bad, g_bad):
+        # f = x^2/2 on x >= -0.5, and f_bad with gradient g_bad beyond: from
+        # x0 = 1 with gamma0 = 0.5 the first trial lands on -1, past the
+        # wall, and the second (gamma 1) on the minimizer 0
+        def feval(x):
+            return 0.5 * x[0] * x[0] if x[0] >= -0.5 else f_bad
+
+        def fgrad(x):
+            return np.array([x[0] if x[0] >= -0.5 else g_bad])
+
+        return make_problem(SmoothOracle("walled", feval, fgrad), make_zero(), 1)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("build", ["problem", "walled_problem"])
+    @pytest.mark.parametrize("f_bad, g_bad", [
+        (math.nan, 0.0), (math.inf, 0.0), (-1.0, math.inf), (-1.0, math.nan)])
+    def test_engine_matches_reference(self, build, f_bad, g_bad, m):
+        problem = getattr(self, build)(f_bad, g_bad)
+        config = SolverConfig(max_inner=4, gamma0_strategy="constant",
+                              gamma0_value=0.5, m=m)
+        engine = solve_quiet(problem, config, [1.0])
+        ref = reference_solve(problem, config, [1.0])
+        assert engine.status == ref.status
+        assert ([repr(astuple(r)) for r in engine.trace.records]
+                == [repr(astuple(r)) for r in ref.trace.records])
+        assert engine.x_final.tobytes() == ref.x_final.tobytes()
+        if build == "walled_problem":
+            assert engine.status == "converged_residual"
+            assert [r.inner_iters for r in engine.trace.records] == [1]
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_candidate_raises(self, bad, m):
+        prox = ProxOracle("bad", lambda x: 0.0, lambda gamma, v: np.array([bad]))
+        problem = make_problem(half_x_squared(), prox, 1)
+        for run in (solve_quiet, reference_solve):
+            with pytest.raises(ValueError, match="^prox oracle produced a non-finite candidate$"):
+                run(problem, SolverConfig(m=m), [1.0])
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_finite_candidate_with_overflowing_step_is_a_trial(self, m):
+        # <d, d> = (2e200)^2 overflows although the candidate is finite
+        prox = ProxOracle("mirror", lambda x: 0.0, lambda gamma, v: np.array([-1e200]))
+        zero_f = SmoothOracle("zero", lambda x: 0.0, lambda x: np.zeros(1))
+        problem = make_problem(zero_f, prox, 1)
+        for run in (solve_quiet, reference_solve):
+            with np.errstate(over="ignore"):
+                report = run(problem, SolverConfig(max_inner=3, m=m), [1e200])
+            assert report.status == "inner_loop_cap"
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_finite_gradient_with_overflowing_square_is_a_trial(self, m):
+        # f(x) = 1e200 x on [-1, 1]: the gradient is finite, <g, g> overflows,
+        # and the first trial, at the minimizer -1, passes the decrease test
+        linear = SmoothOracle("linear", lambda x: 1e200 * float(x[0]),
+                              lambda x: np.array([1e200]))
+        problem = make_problem(linear, make_box([-1.0], [1.0]), 1)
+        config = SolverConfig(m=m)
+        engine = solve_quiet(problem, config, [0.0])
+        ref = reference_solve(problem, config, [0.0])
+        assert engine.status == ref.status == "converged_residual"
+        assert engine.trace.records == ref.trace.records
+        assert [(r.gamma, r.inner_iters) for r in engine.trace.records] == [(1.0, 0)]
+        assert engine.x_final.tolist() == ref.x_final.tolist() == [-1.0]
 
 
 class TestOuterResidual:
