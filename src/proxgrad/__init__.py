@@ -44,15 +44,10 @@ from .smooth_oracles import (
     make_quartic,
 )
 from .solver import (
-    InnerCapExceeded,
     SolveReport,
     SolverConfig,
-    backtrack,
     gamma0_select,
-    outer_residual,
     solve,
-    solve_monotone,
-    subproblem_solve,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -162,10 +161,6 @@ def _run_one(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport
     return report
 
 
-def _fmt_float(v: float) -> str:
-    return "inf" if math.isinf(v) else f"{v:.17g}"
-
-
 def _load_config_arg(arg: str) -> dict | None:
     """Load a config path or shipped name; None after printing the error."""
     try:
@@ -191,7 +186,7 @@ def cmd_run(args) -> int:
     log.debug("trace written to %s (%d rows)", out, len(report.trace.records))
     print(
         f"status={report.status} k={report.iterations} "
-        f"psi={_fmt_float(report.psi_final)} residual={_fmt_float(report.final_residual)}"
+        f"psi={report.psi_final:.17g} residual={report.final_residual:.17g}"
     )
     return _STATUS_EXIT[report.status]
 
@@ -203,7 +198,7 @@ def cmd_check(args) -> int:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return _EXIT_INVALID
     if trace.config_echo is None:
-        print("error: trace has no config echo; re-emit it with cmd_run", file=sys.stderr)
+        print("error: trace has no config echo; re-emit it with proxgrad run", file=sys.stderr)
         return _EXIT_INVALID
     m = args.m if args.m is not None else trace.config_echo.m
     # tail-check defaults scale with the run's residual tolerance but are
@@ -271,7 +266,7 @@ def cmd_compare(args) -> int:
             return _EXIT_INVALID
         total_inner = sum(r.inner_iters + 1 for r in report.trace.records)
         rows.append(
-            f"{m},{report.status},{report.iterations},{total_inner},{_fmt_float(report.psi_final)}"
+            f"{m},{report.status},{report.iterations},{total_inner},{report.psi_final:.17g}"
         )
         all_converged = all_converged and report.status in (
             STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP,

@@ -26,6 +26,7 @@ __all__ = [
     "SmoothOracle",
     "ProxOracle",
     "CompositeProblem",
+    "make_problem",
     "build_oracle",
 ]
 

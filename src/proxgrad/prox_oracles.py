@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import ProxOracle, Vector, as_vector, build_oracle
+from .core import ProxOracle, Vector, build_oracle
 
 __all__ = [
     "make_zero",
@@ -136,12 +136,17 @@ def make_lp_half(lam: float) -> ProxOracle:
 
 def make_box(lo, hi) -> ProxOracle:
     """Indicator of the box [lo, hi]; prox is the componentwise clamp,
-    independent of gamma."""
-    lo_v = as_vector(lo)
-    hi_v = as_vector(hi)
-    if lo_v.size != hi_v.size:
-        raise ValueError("lo and hi must have the same dimension")
-    if np.any(lo_v > hi_v):
+    independent of gamma.  A side may be open: -inf in `lo` or +inf in `hi`,
+    so ``make_box([0.0], [math.inf])`` is the constraint x >= 0."""
+    lo_v = np.asarray(lo, dtype=np.float64)
+    hi_v = np.asarray(hi, dtype=np.float64)
+    if lo_v.ndim != 1 or lo_v.size == 0 or lo_v.shape != hi_v.shape:
+        raise ValueError("lo and hi must be nonempty vectors of the same dimension")
+    if np.isnan(lo_v).any() or np.isnan(hi_v).any():
+        raise ValueError("box bounds must not be NaN")
+    if (lo_v == math.inf).any() or (hi_v == -math.inf).any():
+        raise ValueError("box bounds may be infinite only outward: -inf in lo, +inf in hi")
+    if (lo_v > hi_v).any():
         raise ValueError("box is empty: lo > hi in some coordinate")
 
     def peval(x: Vector) -> float:

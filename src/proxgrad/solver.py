@@ -2,8 +2,9 @@
 
 One engine covers both variants: the acceptance test measures sufficient
 decrease against the maximum of the last ``min(k, m) + 1`` objective values,
-and ``m = 0`` reduces it to the classical monotone method (a single code
-path halves the test surface; `solve_monotone` simply forwards with m = 0).
+and ``m = 0`` reduces it to the classical monotone method, so a single code
+path serves both.  `solve` is that method written straight through: one
+outer loop around an inner backtracking loop.
 
 No stepsize rule needs a Lipschitz constant: each outer iteration starts
 from a spectral or constant guess ``gamma0 in [gamma_min, gamma_max]`` and
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +36,9 @@ from .diagnostics import IterateRecord, Trace, hash_x0
 
 __all__ = [
     "SolverConfig",
-    "InnerCapExceeded",
     "SolveReport",
-    "subproblem_solve",
     "gamma0_select",
-    "backtrack",
-    "outer_residual",
     "solve",
-    "solve_monotone",
 ]
 
 GAMMA0_STRATEGIES = ("constant", "bb_safeguarded")
@@ -130,98 +126,6 @@ def gamma0_select(config: SolverConfig,
     return _clamp(gamma_prev, config.gamma_min, config.gamma_max)
 
 
-def subproblem_solve(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
-                     gamma: float) -> Vector:
-    """Global minimizer of the quadratic-plus-nonsmooth model around x_k.
-
-    Completing the square turns the model into a prox evaluation at the
-    forward point: ``prox(gamma, x_k - grad_k / gamma)``.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return problem.nonsmooth.prox(gamma, x_k - grad_k / gamma)
-
-
-class InnerCapExceeded(Exception):
-    """The inner loop hit max_inner without acceptance.
-
-    Signals that the current iterate is numerically stationary already or
-    that the tolerances are inconsistent; the outer loop converts this into
-    a clean ``inner_loop_cap`` status rather than crashing.
-    """
-
-    def __init__(self, trials: int, last_gamma: float):
-        super().__init__(f"no acceptance within {trials} inner iterations "
-                         f"(last gamma {last_gamma:.3e})")
-        self.trials = trials
-        self.last_gamma = last_gamma
-
-
-def backtrack(problem: CompositeProblem, x_k: Vector, grad_k: Vector,
-              gamma0_k: float, psi_ref: float, config: SolverConfig) -> tuple:
-    """Inner loop: grow gamma by factors of tau until a candidate is accepted.
-
-    A candidate passes either the sufficient-decrease test against `psi_ref`
-    or, failing that, the inner stationarity test
-    ``||grad f(x) - grad f(x_k) + gamma (x_k - x)|| <= tau_abs`` which marks
-    the candidate as approximately stationary already (reported via
-    `early_exit`).  Each trial evaluates f, phi and grad f once at the
-    candidate.  A trial whose psi or gradient is not finite passes neither
-    test.  Those checks square the step and the gradient, so a huge finite
-    one overflows; `solve` calls this under ``np.errstate(all="ignore")``
-    to keep numpy's overflow warning off stderr.
-
-    Returns the plain tuple ``(x_next, gamma, inner_iters, psi_next, f_next,
-    phi_next, step_norm, early_exit, grad_next)`` of the accepted candidate:
-    its accepted gamma, the number of rejected trials before it, its
-    objective pieces, ``||x_next - x_k||``, the test that accepted it and
-    its gradient.
-
-    Raises
-    ------
-    InnerCapExceeded
-        After `config.max_inner` unaccepted trials.
-    """
-    gamma = gamma0_k
-    for i in range(config.max_inner):
-        cand = subproblem_solve(problem, x_k, grad_k, gamma)
-        d = cand - x_k
-        step_sq = float(np.dot(d, d))
-        # a non-finite coordinate of cand makes step_sq inf or NaN, so the
-        # array check runs whenever it could fail (and on an overflow too)
-        if not math.isfinite(step_sq) and not np.isfinite(cand).all():
-            raise ValueError("prox oracle produced a non-finite candidate")
-        f_cand = float(problem.smooth.eval(cand))
-        phi_cand = float(problem.nonsmooth.eval(cand))
-        psi_cand = f_cand + phi_cand
-        grad_cand = problem.smooth.grad(cand)
-        # a trial with a non-finite psi or gradient is rejected, whatever
-        # the comparisons below would make of its NaN or inf; a finite
-        # <g, g> certifies a finite gradient, as step_sq does cand
-        if math.isfinite(psi_cand) and (
-                math.isfinite(float(np.dot(grad_cand, grad_cand)))
-                or np.isfinite(grad_cand).all()):
-            if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
-                return (cand, gamma, i, psi_cand, f_cand, phi_cand,
-                        math.sqrt(step_sq), False, grad_cand)
-            inner_res = grad_cand - grad_k + gamma * (x_k - cand)
-            if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
-                return (cand, gamma, i, psi_cand, f_cand, phi_cand,
-                        math.sqrt(step_sq), True, grad_cand)
-        gamma = gamma * config.tau
-    raise InnerCapExceeded(config.max_inner, gamma / config.tau)
-
-
-def outer_residual(x_prev: Vector, x_cur: Vector, gamma_prev: float,
-                   grad_prev: Vector, grad_cur: Vector) -> float:
-    """Stationarity residual at the current iterate:
-    ``||gamma_prev (x_prev - x_cur) + grad_cur - grad_prev||``."""
-    if not gamma_prev > 0:
-        raise ValueError(f"gamma_prev must be positive, got {gamma_prev}")
-    r = gamma_prev * (x_prev - x_cur) + grad_cur - grad_prev
-    return math.sqrt(float(np.dot(r, r)))
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Terminal point, exit status, final residual, and the full trace.
@@ -244,15 +148,28 @@ class SolveReport:
 def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     """Run the proximal gradient method from x0 until a termination fires.
 
+    Each outer iteration k backtracks from gamma0: the trial at gamma is
+    the model minimizer ``prox(gamma, x_k - grad f(x_k) / gamma)``, and gamma
+    grows by factors of tau until a trial passes either the sufficient-decrease
+    test against the window maximum or, failing that, the inner stationarity
+    test ``||grad f(x) - grad f(x_k) + gamma (x_k - x)|| <= tau_abs``, which
+    marks the candidate as approximately stationary already (listed in
+    `early_exit_ks`).  Each trial evaluates f, phi and grad f once at the
+    candidate; one whose psi or gradient is not finite passes neither test.
+    After `config.max_inner` unaccepted trials the run ends with status
+    ``inner_loop_cap``.
+
     The starting point must lie in the domain of the nonsmooth term and the
     smooth term must be finite there; otherwise a ValueError names the term
-    at fault.  Every accepted iterate stays in the initial sublevel set, and
-    each trace row carries the acceptance certificate that produced it.
+    at fault, as it does a non-finite prox candidate.  Every accepted iterate
+    stays in the initial sublevel set, and each trace row carries the
+    acceptance certificate that produced it.
     """
     x = x0 = as_vector(x0, problem.dimension)
     # one errstate, entered once per solve: an overflow at x0 or at a trial
-    # point is met by the finiteness checks here and in backtrack, not
-    # printed as a numpy warning too
+    # point (the tests below square the step and the gradient, so a huge
+    # finite one overflows) is met by the finiteness checks, not printed as
+    # a numpy warning too
     with np.errstate(all="ignore"):
         f_x = float(problem.smooth.eval(x))
         phi_x = float(problem.nonsmooth.eval(x))
@@ -287,7 +204,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             if prev is None:
                 residual = math.inf
             else:
-                residual = outer_residual(x_prev, x, gamma, grad_prev, grad)
+                r = gamma * (x_prev - x) + grad - grad_prev
+                residual = math.sqrt(float(np.dot(r, r)))
             if residual <= config.tau_abs:
                 status = STATUS_CONVERGED_RESIDUAL
                 break
@@ -302,57 +220,51 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
 
             gamma0 = gamma0_select(config, prev)
             psi_ref = max(window)
-            try:
-                (x_next, gamma, inner_iters, psi_next, f_next, phi_next,
-                 step_norm, early_exit, grad_next) = backtrack(
-                    problem, x, grad, gamma0, psi_ref, config)
-            except InnerCapExceeded:
+            gamma = gamma0
+            for i in range(config.max_inner):
+                cand = problem.nonsmooth.prox(gamma, x - grad / gamma)
+                d = cand - x
+                step_sq = float(np.dot(d, d))
+                # a non-finite coordinate of cand makes step_sq inf or NaN, so the
+                # array check runs whenever it could fail (and on an overflow too)
+                if not math.isfinite(step_sq) and not np.isfinite(cand).all():
+                    raise ValueError("prox oracle produced a non-finite candidate")
+                f_cand = float(problem.smooth.eval(cand))
+                phi_cand = float(problem.nonsmooth.eval(cand))
+                psi_cand = f_cand + phi_cand
+                grad_cand = problem.smooth.grad(cand)
+                # a trial with a non-finite psi or gradient is rejected, whatever
+                # the comparisons below would make of its NaN or inf; a finite
+                # <g, g> certifies a finite gradient, as step_sq does cand
+                if math.isfinite(psi_cand) and (
+                        math.isfinite(float(np.dot(grad_cand, grad_cand)))
+                        or np.isfinite(grad_cand).all()):
+                    if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
+                        break
+                    inner_res = grad_cand - grad + gamma * (x - cand)
+                    if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
+                        early_ks.append(k)
+                        break
+                gamma = gamma * config.tau
+            else:
+                # the last gamma tried is gamma / config.tau
                 status = STATUS_INNER_CAP
                 break
 
-            records.append(
-                IterateRecord(
-                    k=k,
-                    psi=psi_x,
-                    f_val=f_x,
-                    phi_val=phi_x,
-                    gamma0=gamma0,
-                    gamma=gamma,
-                    inner_iters=inner_iters,
-                    step_norm=step_norm,
-                    residual=residual,
-                    accepted_ref=psi_ref,
-                )
-            )
-            if early_exit:
-                early_ks.append(k)
-
-            prev = (x_next - x, grad_next - grad, gamma)
+            step_norm = math.sqrt(step_sq)
+            records.append(IterateRecord(
+                k=k, psi=psi_x, f_val=f_x, phi_val=phi_x, gamma0=gamma0, gamma=gamma,
+                inner_iters=i, step_norm=step_norm, residual=residual, accepted_ref=psi_ref))
+            prev = (d, grad_cand - grad, gamma)
             x_prev, grad_prev = x, grad
-            x, grad = x_next, grad_next
-            f_x, phi_x, psi_x = f_next, phi_next, psi_next
+            x, grad = cand, grad_cand
+            f_x, phi_x, psi_x = f_cand, phi_cand, psi_cand
             window.append(psi_x)
             step_small = (step_norm <= config.eps_step
                           and gamma <= config.gamma_max * config.tau)
             k += 1
 
-    trace = Trace(
-        records=tuple(records),
-        config_echo=config,
-        problem_name=problem.name,
-        x0_hash=hash_x0(x0),
-    )
-    return SolveReport(
-        x_final=x,
-        status=status,
-        final_residual=residual,
-        iterations=k,
-        psi_final=psi_x,
-        trace=trace,
-        early_exit_ks=tuple(early_ks),
-    )
-
-
-def solve_monotone(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
-    """Classical monotone method: the engine with the window forced to m = 0."""
-    return solve(problem, replace(config, m=0), x0)
+    trace = Trace(records=tuple(records), config_echo=config, problem_name=problem.name,
+                  x0_hash=hash_x0(x0))
+    return SolveReport(x_final=x, status=status, final_residual=residual, iterations=k,
+                       psi_final=psi_x, trace=trace, early_exit_ks=tuple(early_ks))

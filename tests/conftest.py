@@ -1,12 +1,17 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from proxgrad.cli import _resolve_config_path, load_run_config
+from proxgrad.core import SmoothOracle, make_problem
 from proxgrad.diagnostics import IterateRecord, Trace
+from proxgrad.prox_oracles import make_box, make_l0, make_l1, make_lp_half, make_sphere, make_zero
+from proxgrad.smooth_oracles import make_logistic, make_quadratic, make_quartic
 from proxgrad.solver import SolverConfig, solve
 
 SHIPPED = ["lasso_small", "quartic_box", "quartic_l0", "logistic_l1", "sphere_quadratic"]
+PROX = ["zero", "l1", "l0", "lp_half", "box", "sphere"]
 
 
 def load_shipped(name):
@@ -21,6 +26,38 @@ def solve_quiet(problem, config, x0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return solve(problem, config, x0)
+
+
+def seeded_problem(smooth_name, prox_name, seed, dim=3):
+    """A small random problem and a starting point in the domain of psi."""
+    rng = np.random.default_rng(seed)
+    if smooth_name == "quadratic":
+        smooth = make_quadratic(rng.normal(size=(5, dim)), rng.normal(size=5))
+    elif smooth_name == "logistic":
+        smooth = make_logistic(rng.normal(size=(6, dim)), rng.choice([-1.0, 1.0], size=6))
+    elif smooth_name == "quartic":
+        smooth = make_quartic(dim)
+    else:
+        # nonconvex, so <s, y> <= 0 occurs and the spectral guess falls back
+        # to the previous accepted gamma
+        smooth = SmoothOracle("double_well", lambda x: float(np.sum(0.25 * x**4 - x**2)),
+                              lambda x: x**3 - 2.0 * x)
+    lam = float(rng.uniform(0.05, 0.5))
+    x0 = rng.uniform(-1.0, 1.0, size=dim)
+    if prox_name == "zero":
+        prox = make_zero()
+    elif prox_name == "l1":
+        prox = make_l1(lam)
+    elif prox_name == "l0":
+        prox = make_l0(lam)
+    elif prox_name == "lp_half":
+        prox = make_lp_half(lam)
+    elif prox_name == "box":
+        prox = make_box(-np.ones(dim), np.ones(dim))
+    else:
+        prox = make_sphere(1.0)
+        x0 = np.eye(dim)[0]
+    return make_problem(smooth, prox, dim), x0
 
 
 def synth_trace(psi, step_norm=None, gamma=None, inner_iters=None, config=None):

@@ -65,6 +65,16 @@ class TestRun:
         assert code == 1
         assert "domain" in err
 
+    def test_half_open_box(self, tmp_path, capsys):
+        cfg = json.loads(shipped_path("quartic_box").read_text())
+        cfg["problem"]["nonsmooth"]["params"] = {"lo": [0.5], "hi": [float("inf")]}
+        path = tmp_path / "half_open.json"
+        path.write_text(json.dumps(cfg))
+        assert '"hi": [Infinity]' in path.read_text()
+        code = run_cli(["run", str(path), "--output", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("status=converged_residual k=2 psi=0.015625 ")
+
     def test_unknown_oracle_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"problem.nonsmooth": {"name": "l2", "params": {}}})
         code = run_cli(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
@@ -203,6 +213,18 @@ class TestCheck:
         capsys.readouterr()
         assert run_cli(["check", str(trace)]) == 1
         assert "bad metadata: tau must be > 1" in capsys.readouterr().err
+
+    def test_trace_without_metadata_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        assert lines[0].startswith("# proxgrad-trace ")
+        trace.write_text("\n".join(lines[1:]) + "\n")
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace has no config echo; re-emit it with proxgrad run\n"
 
     def test_short_trace_skips_tail_checks(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

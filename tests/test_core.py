@@ -1,8 +1,13 @@
+import ast
+import importlib
 import math
+import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
+import proxgrad
 from proxgrad.core import as_vector
 
 
@@ -19,23 +24,43 @@ def test_as_vector_rejects_nonfinite():
 
 
 PUBLIC_NAMES = [
-    "CompositeProblem", "GammaBoundReport", "InnerCapExceeded",
+    "CompositeProblem", "GammaBoundReport",
     "IterateRecord", "PROX_REGISTRY", "ProxOracle", "SMOOTH_REGISTRY",
     "SmoothOracle", "SolveReport", "SolverConfig", "Trace", "TraceFormatError", "Violation",
-    "as_vector", "backtrack", "brute_force_prox", "build_prox", "build_smooth",
+    "as_vector", "brute_force_prox", "build_prox", "build_smooth",
     "check_acceptance", "check_envelope", "check_gamma_step_product", "check_level_set",
     "check_vanishing_steps", "fd_gradient_check", "gamma0_select", "gamma_bound_report",
     "make_box", "make_l0", "make_l1", "make_logistic", "make_lp_half", "make_problem",
-    "make_quadratic", "make_quartic", "make_sphere", "make_zero", "outer_residual",
-    "read_trace_csv", "solve", "solve_monotone", "subproblem_solve",
+    "make_quadratic", "make_quartic", "make_sphere", "make_zero",
+    "read_trace_csv", "solve",
     "write_trace_csv",
 ]
 
 
 def test_public_names_are_pinned():
     # a new export must be added here on purpose
-    import proxgrad
-
     names = sorted(n for n in dir(proxgrad) if not n.startswith("_")
                    and not isinstance(getattr(proxgrad, n), types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+MODULES = [m.name for m in pkgutil.iter_modules(proxgrad.__path__) if m.name != "__main__"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_resolves(module):
+    # a stale __all__ entry makes the star import raise AttributeError
+    exec(f"from proxgrad.{module} import *", {})
+    exported = importlib.import_module(f"proxgrad.{module}").__all__
+    assert len(set(exported)) == len(exported)
+
+
+def test_package_names_are_in_their_module_all():
+    tree = ast.parse(Path(proxgrad.__file__).read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert len(imported) == len(PUBLIC_NAMES)
+    missing = [f"{module}.{name}" for module, name in imported
+               if name not in importlib.import_module(f"proxgrad.{module}").__all__]
+    assert missing == []

@@ -19,7 +19,7 @@ from proxgrad.diagnostics import (
     read_trace_csv,
     write_trace_csv,
 )
-from proxgrad.solver import SolverConfig, solve_monotone
+from proxgrad.solver import SolverConfig, solve
 
 from conftest import load_shipped, solve_quiet, synth_trace
 
@@ -49,7 +49,8 @@ class TestCheckAcceptance:
 
     def test_m0_reduces_to_plain_sufficient_decrease(self):
         cfg = load_shipped("lasso_small")
-        trace = solve_monotone(cfg["problem"], cfg["config"], cfg["x0"]).trace
+        config = dataclasses.replace(cfg["config"], m=0)
+        trace = solve(cfg["problem"], config, cfg["x0"]).trace
         assert check_acceptance(trace) == []
         psi = [r.psi for r in trace.records]
         for k, rec in enumerate(trace.records[:-1]):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxgrad.core import make_problem
 from proxgrad.prox_oracles import (
     brute_force_prox,
     build_prox,
@@ -16,6 +17,8 @@ from proxgrad.prox_oracles import (
     make_sphere,
     make_zero,
 )
+from proxgrad.smooth_oracles import make_quadratic
+from proxgrad.solver import SolverConfig, solve
 
 INF = math.inf
 
@@ -175,7 +178,37 @@ class TestBox:
         with pytest.raises(ValueError, match="lo > hi"):
             make_box([0.0, 1.0], [1.0, 0.0])
 
-    # the bounds must be finite; the points need not be
+    @pytest.mark.parametrize("lo, hi, fragment", [
+        ([math.nan], [1.0], "NaN"),
+        ([0.0], [math.nan], "NaN"),
+        ([INF], [INF], "outward"),
+        ([-INF], [-INF], "outward"),
+        ([0.0, 0.0], [1.0], "same dimension"),
+        ([], [], "nonempty"),
+    ])
+    def test_bad_bounds_rejected(self, lo, hi, fragment):
+        with pytest.raises(ValueError, match=fragment) as err:
+            make_box(lo, hi)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 1.0)])
+    def test_half_bounded(self, lo, hi):
+        b = make_box([lo], [hi])
+        for v in [-5.0, -0.5, 0.0, 0.5, 1.0, 5.0]:
+            want = min(max(v, lo), hi)
+            assert b.prox(2.0, np.array([v])).tolist() == [want]
+            assert b.eval(np.array([v])) == (0.0 if want == v else INF)
+        assert b.eval(np.array([math.nan])) == INF
+
+    def test_nonnegativity_constraint_solves(self):
+        # min 0.5 ||x - (-1, 2)||^2 over x >= 0
+        problem = make_problem(make_quadratic(np.eye(2), [-1.0, 2.0]),
+                               make_box([0.0, 0.0], [INF, INF]), 2)
+        report = solve(problem, SolverConfig(), [1.0, 1.0])
+        assert report.status == "converged_residual"
+        assert report.x_final.tolist() == pytest.approx([0.0, 2.0], abs=1e-6)
+
+    # the bounds here are finite; the points need not be
     BOUNDS = list(itertools.product([-0.0, 0.0, -1.0], [0.0, -0.0, 1.0]))
     POINTS = [math.nan, 0.0, -0.0, INF, -INF, 1.0, -1.0, 5e-324]
 

@@ -3,61 +3,16 @@
 import itertools
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from proxgrad.core import SmoothOracle, make_problem
 from proxgrad.diagnostics import write_trace_csv
-from proxgrad.prox_oracles import (
-    make_box,
-    make_l0,
-    make_l1,
-    make_lp_half,
-    make_sphere,
-    make_zero,
-)
-from proxgrad.smooth_oracles import make_logistic, make_quadratic, make_quartic
 from proxgrad.solver import SolverConfig
 
-from conftest import SHIPPED, load_shipped, solve_quiet
+from conftest import PROX, SHIPPED, load_shipped, seeded_problem, solve_quiet
 from reference_nonmonotone import reference_nonmonotone_solve
 
 WINDOWS = [1, 5, 10]
-DIM = 3
 SMOOTH = ["quadratic", "logistic", "quartic", "double_well"]
-PROX = ["zero", "l1", "l0", "lp_half", "box", "sphere"]
-
-
-def seeded_problem(smooth_name, prox_name, seed):
-    """A small random problem and a starting point in the domain of psi."""
-    rng = np.random.default_rng(seed)
-    if smooth_name == "quadratic":
-        smooth = make_quadratic(rng.normal(size=(5, DIM)), rng.normal(size=5))
-    elif smooth_name == "logistic":
-        smooth = make_logistic(rng.normal(size=(6, DIM)), rng.choice([-1.0, 1.0], size=6))
-    elif smooth_name == "quartic":
-        smooth = make_quartic(DIM)
-    else:
-        # nonconvex, so <s, y> <= 0 occurs and the spectral guess falls back
-        # to the previous accepted gamma
-        smooth = SmoothOracle("double_well", lambda x: float(np.sum(0.25 * x**4 - x**2)),
-                              lambda x: x**3 - 2.0 * x)
-    lam = float(rng.uniform(0.05, 0.5))
-    x0 = rng.uniform(-1.0, 1.0, size=DIM)
-    if prox_name == "zero":
-        prox = make_zero()
-    elif prox_name == "l1":
-        prox = make_l1(lam)
-    elif prox_name == "l0":
-        prox = make_l0(lam)
-    elif prox_name == "lp_half":
-        prox = make_lp_half(lam)
-    elif prox_name == "box":
-        prox = make_box(-np.ones(DIM), np.ones(DIM))
-    else:
-        prox = make_sphere(1.0)
-        x0 = np.eye(DIM)[0]
-    return make_problem(smooth, prox, DIM), x0
 
 
 def assert_same_run(engine, reference, tmp_path):
