@@ -25,9 +25,7 @@ from .diagnostics import (
     write_trace_csv,
 )
 from .prox_oracles import (
-    PROX_REGISTRY,
     brute_force_prox,
-    build_prox,
     make_box,
     make_l0,
     make_l1,
@@ -36,8 +34,6 @@ from .prox_oracles import (
     make_zero,
 )
 from .smooth_oracles import (
-    SMOOTH_REGISTRY,
-    build_smooth,
     fd_gradient_check,
     make_logistic,
     make_quadratic,

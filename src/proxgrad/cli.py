@@ -15,6 +15,13 @@ Subcommands
 ``list``
     Print the registered oracle names and shipped configs.
 
+This is the one module that reads configs.  `build_smooth` and
+`build_prox` map an oracle entry's name and params to the constructors of
+`smooth_oracles` and `prox_oracles`; `load_run_config` calls them, and
+`make_problem`, by their module-level names.  Every invalid config value
+ends in exit 1 and one ``error:`` line on stderr, and each warning of a
+solve prints as one ``warning:`` line.
+
 The ``PROXGRAD_LOG`` environment variable ({quiet, info, debug}, default
 quiet) controls stderr verbosity.  Summaries and CSV output go to stdout;
 all file formats are bit-exact and deterministic across invocations.
@@ -27,6 +34,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -34,10 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .core import CompositeProblem, as_vector, make_problem
+from .core import CompositeProblem, ProxOracle, SmoothOracle, as_vector, make_problem
 from .diagnostics import TraceFormatError, read_trace_csv, write_trace_csv
-from .prox_oracles import PROX_REGISTRY, build_prox
-from .smooth_oracles import SMOOTH_REGISTRY, build_smooth
+from .prox_oracles import make_box, make_l0, make_l1, make_lp_half, make_sphere, make_zero
+from .smooth_oracles import make_logistic, make_quadratic, make_quartic
 from .solver import (
     STATUS_CONVERGED_RESIDUAL,
     STATUS_CONVERGED_STEP,
@@ -48,7 +56,8 @@ from .solver import (
     solve,
 )
 
-__all__ = ["main", "entry_point", "load_run_config", "shipped_config_names"]
+__all__ = ["main", "entry_point", "load_run_config", "shipped_config_names",
+           "build_smooth", "build_prox"]
 
 log = logging.getLogger("proxgrad")
 
@@ -97,6 +106,62 @@ def _section(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+# name -> (constructor, parameters, sized parameter), read by `_build_oracle`
+_SMOOTH_REGISTRY = {
+    "quadratic": (make_quadratic, ("A", "b"), "A"),
+    "quartic": (make_quartic, ("dimension",), None),
+    "logistic": (make_logistic, ("A", "labels"), "A"),
+}
+_PROX_REGISTRY = {
+    "zero": (make_zero, (), None),
+    "l1": (make_l1, ("lam",), None),
+    "l0": (make_l0, ("lam",), None),
+    "lp_half": (make_lp_half, ("lam",), None),
+    "box": (make_box, ("lo", "hi"), "lo"),
+    "sphere": (make_sphere, ("radius",), None),
+}
+
+
+def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
+    """Construct `registry[name]` from config-file `params`: its constructor
+    takes its parameters in order, one named ``dimension`` being the problem
+    dimension, and its sized parameter's last axis must have that length."""
+    if not isinstance(name, str) or name not in registry:
+        known = ", ".join(sorted(registry))
+        raise ValueError(f"unknown {kind} oracle {name!r} (known: {known})")
+    make, names, sized = registry[name]
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} oracle {name!r}: params must be an object")
+    wanted = [p for p in names if p != "dimension"]
+    wrong = [f"missing {p!r}" for p in wanted if p not in params]
+    wrong += [f"unknown {p!r}" for p in sorted(set(params) - set(wanted))]
+    if wrong:
+        expected = ", ".join(wanted) or "none"
+        raise ValueError(f"{kind} oracle {name!r}: {', '.join(wrong)} parameter "
+                         f"(expected: {expected})")
+    args = {**params, "dimension": dimension}
+    try:
+        if sized is not None:
+            args[sized] = np.asarray(args[sized], dtype=np.float64)
+        oracle = make(*(args[p] for p in names))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{kind} oracle {name!r}: bad parameter: {exc}") from None
+    if sized is not None and args[sized].shape[-1] != dimension:
+        raise ValueError(f"{kind} oracle {name!r}: {sized!r} has dimension "
+                         f"{args[sized].shape[-1]} but problem dimension is {dimension}")
+    return oracle
+
+
+def build_smooth(name: str, params: dict, dimension: int) -> SmoothOracle:
+    """Construct a registered smooth oracle from config-file parameters."""
+    return _build_oracle("smooth", _SMOOTH_REGISTRY, name, params, dimension)
+
+
+def build_prox(name: str, params: dict, dimension: int) -> ProxOracle:
+    """Construct a registered prox oracle from config-file parameters."""
+    return _build_oracle("prox", _PROX_REGISTRY, name, params, dimension)
 
 
 def load_run_config(path: Path) -> dict:
@@ -148,11 +213,19 @@ def load_run_config(path: Path) -> dict:
 
 
 def _run_one(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport | None:
-    """Solve once; None after printing the error when `solve` rejects the input."""
-    try:
-        report = solve(problem, config, x0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    """Solve once, printing each warning as one ``warning:`` line; None after
+    printing the error when `solve` rejects the input."""
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = solve(problem, config, x0)
+        except ValueError as exc:
+            error = exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return None
     log.info(
         "run %s: status=%s iterations=%d early_exits=%s",
@@ -201,6 +274,9 @@ def cmd_check(args) -> int:
         print("error: trace has no config echo; re-emit it with proxgrad run", file=sys.stderr)
         return _EXIT_INVALID
     m = args.m if args.m is not None else trace.config_echo.m
+    if m < 0:
+        print(f"error: m must be nonnegative, got {m}", file=sys.stderr)
+        return _EXIT_INVALID
     # tail-check defaults scale with the run's residual tolerance but are
     # floored at the desk-scale bands: raw step norms shrink like
     # tau_abs / gamma, so a strict tau_abs alone would over-tighten them
@@ -281,10 +357,10 @@ def cmd_compare(args) -> int:
 
 def cmd_list(args) -> int:
     print("smooth oracles:")
-    for name in sorted(SMOOTH_REGISTRY):
+    for name in sorted(_SMOOTH_REGISTRY):
         print(f"  {name}")
     print("prox oracles:")
-    for name in sorted(PROX_REGISTRY):
+    for name in sorted(_PROX_REGISTRY):
         print(f"  {name}")
     print("shipped configs:")
     for name in shipped_config_names():

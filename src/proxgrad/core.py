@@ -10,7 +10,8 @@ every finite value and ``finite + inf == inf``.
 All types in this module are frozen dataclasses and all operations are
 pure.  A smooth oracle's one-entry memo (see `SmoothOracle`) returns on a hit
 what a recompute would, so problems may be shared freely between
-concurrently running solves.
+concurrently running solves.  Nothing here knows the config-file format;
+`proxgrad.cli` builds oracles from configs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "ProxOracle",
     "CompositeProblem",
     "make_problem",
-    "build_oracle",
 ]
 
 Vector = np.ndarray
@@ -39,10 +39,13 @@ def as_vector(x, dimension: int | None = None) -> Vector:
     Raises
     ------
     ValueError
-        If `x` is not one-dimensional, contains NaN or +-inf, is empty, or
-        does not match `dimension`.
+        If `x` is not one-dimensional, has an entry that is not a number or
+        not finite, is empty, or does not match `dimension`.
     """
-    v = np.asarray(x, dtype=np.float64)
+    try:
+        v = np.asarray(x, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:  # e.g. a dict entry, or an int past 1e308
+        raise ValueError(f"vector has a coordinate that is not a float: {exc}") from None
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got array of shape {v.shape}")
     if v.size == 0:
@@ -112,32 +115,3 @@ def make_problem(smooth: SmoothOracle, nonsmooth: ProxOracle,
     """Pair a smooth and a nonsmooth oracle on vectors of `dimension`."""
     return CompositeProblem(smooth, nonsmooth, dimension)
 
-
-def build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
-    """Construct `registry[name]` from config-file `params`: its constructor
-    takes its parameters in order, one named ``dimension`` being the problem
-    dimension, and its sized parameter's last axis must have that length."""
-    if not isinstance(name, str) or name not in registry:
-        known = ", ".join(sorted(registry))
-        raise ValueError(f"unknown {kind} oracle {name!r} (known: {known})")
-    make, names, sized = registry[name]
-    if not isinstance(params, dict):
-        raise ValueError(f"{kind} oracle {name!r}: params must be an object")
-    wanted = [p for p in names if p != "dimension"]
-    wrong = [f"missing {p!r}" for p in wanted if p not in params]
-    wrong += [f"unknown {p!r}" for p in sorted(set(params) - set(wanted))]
-    if wrong:
-        expected = ", ".join(wanted) or "none"
-        raise ValueError(f"{kind} oracle {name!r}: {', '.join(wrong)} parameter "
-                         f"(expected: {expected})")
-    args = {**params, "dimension": dimension}
-    try:
-        if sized is not None:
-            args[sized] = np.asarray(args[sized], dtype=np.float64)
-        oracle = make(*(args[p] for p in names))
-    except TypeError as exc:
-        raise ValueError(f"{kind} oracle {name!r}: bad parameter: {exc}") from None
-    if sized is not None and args[sized].shape[-1] != dimension:
-        raise ValueError(f"{kind} oracle {name!r}: {sized!r} has dimension "
-                         f"{args[sized].shape[-1]} but problem dimension is {dimension}")
-    return oracle

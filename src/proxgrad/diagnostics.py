@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -197,10 +198,15 @@ class Violation:
     detail: str
 
 
-def _window_max(psi: Sequence[float], k: int, m: int) -> float:
-    """max of psi over the last min(k, m)+1 iterates ending at k."""
-    m_k = min(k, m)
-    return max(psi[k - m_k : k + 1])
+def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
+    """For every k, the max of psi over the last min(k, m)+1 iterates ending
+    at k, taken over those values oldest first, as a slice of psi would be."""
+    window = deque(maxlen=min(m, len(psi)) + 1)
+    maxima = []
+    for value in psi:
+        window.append(value)
+        maxima.append(max(window))
+    return maxima
 
 
 def check_acceptance(trace: Trace, *, delta: float | None = None,
@@ -218,10 +224,11 @@ def check_acceptance(trace: Trace, *, delta: float | None = None,
         delta = trace.config_echo.delta if delta is None else delta
         m = trace.config_echo.m if m is None else m
     psi = [r.psi for r in trace.records]
+    env = _window_maxima(psi, m)
     violations = []
     for k in range(len(trace.records) - 1):
         rec = trace.records[k]
-        bound = _window_max(psi, k, m) - delta * (rec.gamma / 2.0) * rec.step_norm**2
+        bound = env[k] - delta * (rec.gamma / 2.0) * rec.step_norm**2
         if psi[k + 1] > bound + _PSI_TOL:
             violations.append(
                 Violation(
@@ -236,7 +243,7 @@ def check_acceptance(trace: Trace, *, delta: float | None = None,
 def check_envelope(trace: Trace, m: int) -> bool:
     """True iff the rolling window maximum of psi is nonincreasing."""
     psi = [r.psi for r in trace.records]
-    env = [_window_max(psi, k, m) for k in range(len(psi))]
+    env = _window_maxima(psi, m)
     return all(env[k + 1] <= env[k] + _PSI_TOL for k in range(len(env) - 1))
 
 

@@ -7,7 +7,9 @@ sparser / smaller point so that repeated runs produce identical traces.
 
 ``brute_force_prox`` is an independent 1-D grid oracle used for
 verification: it never shares code with the closed-form maps.
-All oracles are immutable and their operations pure.
+All oracles are immutable and their operations pure.  A config names an
+oracle by its ``name`` (``zero``, ``l1``, ``l0``, ``lp_half``, ``box``,
+``sphere``); `proxgrad.cli.build_prox` maps it to its constructor.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import ProxOracle, Vector, build_oracle
+from .core import ProxOracle, Vector
 
 __all__ = [
     "make_zero",
@@ -26,8 +28,6 @@ __all__ = [
     "make_box",
     "make_sphere",
     "brute_force_prox",
-    "PROX_REGISTRY",
-    "build_prox",
 ]
 
 # Relative tolerance for membership in the sphere {x : ||x|| = r}; iterates
@@ -137,9 +137,10 @@ def make_lp_half(lam: float) -> ProxOracle:
 def make_box(lo, hi) -> ProxOracle:
     """Indicator of the box [lo, hi]; prox is the componentwise clamp,
     independent of gamma.  A side may be open: -inf in `lo` or +inf in `hi`,
-    so ``make_box([0.0], [math.inf])`` is the constraint x >= 0."""
-    lo_v = np.asarray(lo, dtype=np.float64)
-    hi_v = np.asarray(hi, dtype=np.float64)
+    so ``make_box([0.0], [math.inf])`` is the constraint x >= 0.  The bounds
+    are copied, so later changes to the caller's arrays do not move the box."""
+    lo_v = np.array(lo, dtype=np.float64)
+    hi_v = np.array(hi, dtype=np.float64)
     if lo_v.ndim != 1 or lo_v.size == 0 or lo_v.shape != hi_v.shape:
         raise ValueError("lo and hi must be nonempty vectors of the same dimension")
     if np.isnan(lo_v).any() or np.isnan(hi_v).any():
@@ -148,6 +149,7 @@ def make_box(lo, hi) -> ProxOracle:
         raise ValueError("box bounds may be infinite only outward: -inf in lo, +inf in hi")
     if (lo_v > hi_v).any():
         raise ValueError("box is empty: lo > hi in some coordinate")
+    lo_v.flags.writeable = hi_v.flags.writeable = False
 
     def peval(x: Vector) -> float:
         inside = bool(((x >= lo_v) & (x <= hi_v)).all())
@@ -249,18 +251,3 @@ def brute_force_prox(
     ties = grid[obj == best]
     return float(min(ties, key=lambda x: (abs(x), x)))
 
-
-# name -> (constructor, parameters, sized parameter), read by `build_prox`
-PROX_REGISTRY = {
-    "zero": (make_zero, (), None),
-    "l1": (make_l1, ("lam",), None),
-    "l0": (make_l0, ("lam",), None),
-    "lp_half": (make_lp_half, ("lam",), None),
-    "box": (make_box, ("lo", "hi"), "lo"),
-    "sphere": (make_sphere, ("radius",), None),
-}
-
-
-def build_prox(name: str, params: dict, dimension: int) -> ProxOracle:
-    """Construct a registered prox oracle from config-file parameters."""
-    return build_oracle("prox", PROX_REGISTRY, name, params, dimension)

@@ -16,22 +16,21 @@ private one-entry memo of the last point's ``A x`` term, so a `grad` at the
 point of the preceding `eval` (as in every backtracking trial) does one pass
 over ``A`` instead of two.  The memo is keyed on the point's dtype, shape and
 bytes, is replaced atomically, and a hit equals a recompute bit for bit;
-concurrent callers can only cause misses.
+concurrent callers can only cause misses.  A config names a family by the
+name above; `proxgrad.cli.build_smooth` maps it to its constructor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import SmoothOracle, Vector, as_vector, build_oracle
+from .core import SmoothOracle, Vector, as_vector
 
 __all__ = [
     "make_quadratic",
     "make_quartic",
     "make_logistic",
     "fd_gradient_check",
-    "SMOOTH_REGISTRY",
-    "build_smooth",
 ]
 
 
@@ -164,15 +163,3 @@ def fd_gradient_check(oracle: SmoothOracle, x, h: float = 1e-5) -> float:
         worst = max(worst, err)
     return worst
 
-
-# name -> (constructor, parameters, sized parameter), read by `build_smooth`
-SMOOTH_REGISTRY = {
-    "quadratic": (make_quadratic, ("A", "b"), "A"),
-    "quartic": (make_quartic, ("dimension",), None),
-    "logistic": (make_logistic, ("A", "labels"), "A"),
-}
-
-
-def build_smooth(name: str, params: dict, dimension: int) -> SmoothOracle:
-    """Construct a registered smooth oracle from config-file parameters."""
-    return build_oracle("smooth", SMOOTH_REGISTRY, name, params, dimension)

@@ -25,6 +25,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -97,6 +98,14 @@ class SolverConfig:
             raise ValueError(f"max_outer must be a positive integer, got {self.max_outer}")
         if not (type(self.max_inner) is int and self.max_inner >= 1):
             raise ValueError(f"max_inner must be a positive integer, got {self.max_inner}")
+        # the checks above compare exactly, so an int past the float range
+        # passes them and would overflow only in arithmetic, mid-solve
+        for name in ("tau", "gamma_min", "gamma_max", "delta", "gamma0_value",
+                     "tau_abs", "eps_step"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} is too large to convert to a float") from None
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -190,8 +199,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
 
         grad = problem.smooth.grad(x)
         # the last min(k, m) + 1 accepted objective values; with m = 0 their
-        # maximum is the current one and the test is plain sufficient decrease
-        window = deque([psi_x], maxlen=config.m + 1)
+        # maximum is the current one and the test is plain sufficient decrease.
+        # deque takes no maxlen past sys.maxsize; no run appends that many
+        # values, so the cap never drops one, whatever the m
+        window = deque([psi_x], maxlen=min(config.m + 1, sys.maxsize))
         records: list[IterateRecord] = []
         early_ks: list[int] = []
         # the previous accepted step (s, y, gamma) and the iterate and

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +8,18 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import proxgrad
 from proxgrad.cli import _resolve_config_path, main, shipped_config_names
 
 from conftest import SHIPPED
+
+HUGE = 2**2000  # an int that float() cannot represent
+WINDOW_WARNING = ("warning: nonmonotone window m={} with a nonsmooth term that is not "
+                  "continuous on its domain: the envelope-based convergence guarantees "
+                  "do not apply\n")
 
 
 def run_cli(args, monkeypatch=None, cwd=None):
@@ -25,8 +34,8 @@ def shipped_path(name) -> Path:
     return p
 
 
-def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
-    cfg = json.loads(shipped_path("lasso_small").read_text())
+def write_config(tmp_path, name="cfg.json", base="lasso_small", **overrides) -> Path:
+    cfg = json.loads(shipped_path(base).read_text())
     for key, value in overrides.items():
         section, _, field = key.partition(".")
         if field:
@@ -117,6 +126,51 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
+
+    @pytest.mark.parametrize("base, overrides", [
+        ("quartic_l0", {"x0": [{"a": 0.5}, 0.8]}),
+        ("quartic_l0", {"x0": [HUGE, 0.8]}),
+        ("lasso_small", {"problem.smooth": {"name": "quadratic",
+                                            "params": {"A": [[1.0, 0.0], [0.0, HUGE]],
+                                                       "b": [1.0, 0.1]}}}),
+        ("lasso_small", {"problem.smooth": {"name": "quadratic",
+                                            "params": {"A": [[1.0, 0.0], [0.0, 1.0]],
+                                                       "b": [1.0, HUGE]}}}),
+        ("quartic_box", {"problem.nonsmooth": {"name": "box",
+                                               "params": {"lo": [-HUGE], "hi": [2.0]}}}),
+        ("quartic_box", {"problem.nonsmooth": {"name": "box",
+                                               "params": {"lo": [-2.0], "hi": [HUGE]}}}),
+        ("lasso_small", {"problem.nonsmooth": {"name": "l1", "params": {"lam": HUGE}}}),
+        ("sphere_quadratic", {"problem.nonsmooth": {"name": "sphere",
+                                                    "params": {"radius": HUGE}}}),
+        ("quartic_box", {"solver.tau": HUGE}),
+        ("quartic_box", {"solver.gamma_max": HUGE}),
+        ("quartic_box", {"solver.gamma0_value": HUGE}),
+        ("quartic_box", {"solver.tau_abs": HUGE}),
+        ("quartic_box", {"solver.eps_step": HUGE}),
+    ], ids=["x0_dict", "x0", "A", "b", "lo", "hi", "lam", "radius",
+            "tau", "gamma_max", "gamma0_value", "tau_abs", "eps_step"])
+    def test_non_float_value_exits_1_with_one_line_error(self, tmp_path, capsys, base,
+                                                         overrides):
+        # each used to escape as a TypeError or OverflowError traceback, or
+        # (an unused solver field) to run
+        path = write_config(tmp_path, base=base, **overrides)
+        code = run_cli(["run", str(path), "--output", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_m_runs_as_m_equal_max_outer(self, tmp_path, capsys):
+        max_outer = json.loads(shipped_path("logistic_l1").read_text())["solver"]["max_outer"]
+        rows = []
+        for i, caps in enumerate([(max_outer, max_outer), (2**70, max_outer), (2**70, 2**70)]):
+            path = write_config(tmp_path, base="logistic_l1",
+                                **dict(zip(["solver.m", "solver.max_outer"], caps)))
+            trace = tmp_path / f"t{i}.csv"
+            assert run_cli(["run", str(path), "--output", str(trace)]) == 0
+            rows.append(trace.read_text().splitlines()[1:])  # past the config echo
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert capsys.readouterr().err == ""
 
     def test_missing_config_exits_1(self, capsys):
         code = run_cli(["run", "no_such_config"])
@@ -226,6 +280,14 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: trace has no config echo; re-emit it with proxgrad run\n"
 
+    def test_negative_m_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        capsys.readouterr()
+        assert run_cli(["check", str(trace), "--m", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: m must be nonnegative, got -1\n")
+
     def test_short_trace_skips_tail_checks(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         assert run_cli(["run", "sphere_quadratic", "--output", str(trace)]) == 0
@@ -281,6 +343,11 @@ class TestCompare:
         rows = out.strip().splitlines()[1:]
         assert code == 0
         assert [r.split(",")[0] for r in rows] == ["0", "1", "5", "10"]
+
+    def test_one_warning_line_per_window_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["compare", "quartic_l0", "--m", "0", "5", "1"]) == 0
+        assert capsys.readouterr().err == WINDOW_WARNING.format(5) + WINDOW_WARNING.format(1)
 
     def test_comparison_csv_written(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -351,6 +418,61 @@ def test_overflow_inside_solve_prints_no_warning(tmp_path, overrides, stdout):
     cfg = write_config(tmp_path, **overrides)
     proc = run_module(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, stdout, "")
+
+
+def test_window_warning_is_one_stderr_line(tmp_path):
+    # a child shows what Python's own warning display would print
+    proc = run_module(["run", "quartic_l0", "--output", str(tmp_path / "t.csv")])
+    assert proc.returncode == 0
+    assert proc.stderr == WINDOW_WARNING.format(5)
+
+
+FUZZ_VALUES = [{"a": 1}, [1.0], None, True, "x", math.nan, -1, 0, 2**70, HUGE]
+
+
+def leaf_paths(node, path=()):
+    """Key paths to the scalars of a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in leaf_paths(child, path + (key,))]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one or two of its scalars replaced by a value
+    from FUZZ_VALUES, and its iteration caps lowered to 20 outer and 100
+    inner: a run that cannot reach its tolerance (a huge radius, say) would
+    otherwise go on for as many iterations as a huge cap allows."""
+    cfg = json.loads(shipped_path(draw(st.sampled_from(SHIPPED))).read_text())
+    # the paths are drawn before any change, so none leads into an inserted value
+    for path in draw(st.lists(st.sampled_from(leaf_paths(cfg)), min_size=1, max_size=2)):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    for field, cap in (("max_outer", 20), ("max_inner", 100)):
+        if type(cfg["solver"][field]) is int:
+            cfg["solver"][field] = min(cfg["solver"][field], cap)
+    return cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_configs())
+def test_fuzzed_config_exits_with_at_most_one_error_line(tmp_path, monkeypatch, capsys, cfg):
+    monkeypatch.chdir(tmp_path)  # where a relative output path the config names resolves
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path), "--output", str(tmp_path / "t.csv")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2, 3)
+    assert [ln for ln in lines if not ln.startswith("warning: ")] == (
+        [ln for ln in lines if ln.startswith("error: ")])
+    assert sum(ln.startswith("error: ") for ln in lines) == (code == 1)
 
 
 def test_shipped_config_names():

@@ -23,11 +23,18 @@ def test_as_vector_rejects_nonfinite():
         as_vector([math.inf, 0.0])
 
 
+@pytest.mark.parametrize("x", [[{"a": 0.5}, 0.8], [2**2000, 0.8]], ids=["dict", "huge_int"])
+def test_as_vector_non_float_coordinate_is_value_error(x):
+    with pytest.raises(ValueError, match="not a float") as err:
+        as_vector(x)
+    assert "\n" not in str(err.value)
+
+
 PUBLIC_NAMES = [
     "CompositeProblem", "GammaBoundReport",
-    "IterateRecord", "PROX_REGISTRY", "ProxOracle", "SMOOTH_REGISTRY",
+    "IterateRecord", "ProxOracle",
     "SmoothOracle", "SolveReport", "SolverConfig", "Trace", "TraceFormatError", "Violation",
-    "as_vector", "brute_force_prox", "build_prox", "build_smooth",
+    "as_vector", "brute_force_prox",
     "check_acceptance", "check_envelope", "check_gamma_step_product", "check_level_set",
     "check_vanishing_steps", "fd_gradient_check", "gamma0_select", "gamma_bound_report",
     "make_box", "make_l0", "make_l1", "make_logistic", "make_lp_half", "make_problem",

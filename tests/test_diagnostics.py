@@ -19,6 +19,7 @@ from proxgrad.diagnostics import (
     read_trace_csv,
     write_trace_csv,
 )
+from proxgrad.diagnostics import _window_maxima
 from proxgrad.solver import SolverConfig, solve
 
 from conftest import load_shipped, solve_quiet, synth_trace
@@ -78,6 +79,16 @@ class TestCheckEnvelope:
             cfg = load_shipped(name)
             trace = solve_quiet(cfg["problem"], cfg["config"], cfg["x0"]).trace
             assert check_envelope(trace, cfg["config"].m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 2**70])
+def test_window_maxima_are_the_slice_maxima(m):
+    # max() keeps the first of incomparable values, so NaN and signed zeros
+    # show whether the window is scanned oldest first, as the slice is
+    psi = [3.0, math.nan, -0.0, 0.0, 5.0, 1.0, math.nan, 2.0, 0.0, -0.0, -1.0]
+    want = [max(psi[max(0, k - m): k + 1]) for k in range(len(psi))]
+    assert [repr(v) for v in _window_maxima(psi, m)] == [repr(v) for v in want]
+    assert _window_maxima([], m) == []
 
 
 class TestCheckLevelSet:

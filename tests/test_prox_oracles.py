@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxgrad.cli import build_prox
 from proxgrad.core import make_problem
 from proxgrad.prox_oracles import (
     brute_force_prox,
-    build_prox,
     make_box,
     make_l0,
     make_l1,
@@ -190,6 +190,14 @@ class TestBox:
         with pytest.raises(ValueError, match=fragment) as err:
             make_box(lo, hi)
         assert "\n" not in str(err.value)
+
+    def test_bounds_are_copied(self):
+        lo, hi = np.array([0.0]), np.array([1.0])
+        b = make_box(lo, hi)
+        lo[0], hi[0] = 5.0, -5.0  # would be an empty box
+        assert b.prox(1.0, np.array([0.5])).tolist() == [0.5]
+        assert b.prox(1.0, np.array([7.0])).tolist() == [1.0]
+        assert b.eval(np.array([0.5])) == 0.0
 
     @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 1.0)])
     def test_half_bounded(self, lo, hi):

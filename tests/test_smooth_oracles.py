@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+from proxgrad.cli import build_smooth
 from proxgrad.smooth_oracles import (
-    build_smooth,
     fd_gradient_check,
     make_logistic,
     make_quadratic,

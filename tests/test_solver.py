@@ -71,6 +71,16 @@ class TestSolverConfig:
             SolverConfig(**{field: value})
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("fields", [
+        {"tau": 2**2000}, {"gamma_min": 2**2000, "gamma_max": 2**2000}, {"gamma_max": 2**2000},
+        {"gamma0_value": 2**2000}, {"tau_abs": 2**2000}, {"eps_step": 2**2000},
+    ], ids=lambda fields: next(iter(fields)))
+    def test_rejects_int_past_float_range(self, fields):
+        # such an int passes the exact comparisons and used to overflow mid-solve
+        with pytest.raises(ValueError) as err:
+            SolverConfig(**fields)
+        assert str(err.value) == f"{next(iter(fields))} is too large to convert to a float"
+
 
 class TestSubproblemSolve:
     """The model minimizer around x is the prox at the forward point."""
