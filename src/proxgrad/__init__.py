@@ -6,6 +6,7 @@ from .core import (
     CompositeProblem,
     ProxOracle,
     SmoothOracle,
+    SolverConfig,
     as_vector,
     make_problem,
 )
@@ -41,7 +42,6 @@ from .smooth_oracles import (
 )
 from .solver import (
     SolveReport,
-    SolverConfig,
     gamma0_select,
     solve,
 )

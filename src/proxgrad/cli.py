@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .core import CompositeProblem, ProxOracle, SmoothOracle, as_vector, make_problem
+from .core import (CompositeProblem, ProxOracle, SmoothOracle, SolverConfig, as_vector,
+                   make_problem)
 from .diagnostics import TraceFormatError, read_trace_csv, write_trace_csv
 from .prox_oracles import make_box, make_l0, make_l1, make_lp_half, make_sphere, make_zero
 from .smooth_oracles import make_logistic, make_quadratic, make_quartic
@@ -51,7 +52,6 @@ from .solver import (
     STATUS_CONVERGED_STEP,
     STATUS_INNER_CAP,
     STATUS_MAX_OUTER,
-    SolverConfig,
     SolveReport,
     solve,
 )
@@ -124,6 +124,20 @@ _PROX_REGISTRY = {
 }
 
 
+def _numbers(value, where: str):
+    """`value`, unless it or an entry of its nested lists is a JSON boolean
+    or string: numpy would read ``true`` as 1.0 and parse ``"0.5"``."""
+    items = value if type(value) is list else (value,)
+    kinds = set(map(type, items))
+    if bool in kinds or str in kinds:
+        bad = next(v for v in items if type(v) in (bool, str))
+        raise ValueError(f"{where}: {bad!r} is not a number")
+    if list in kinds:
+        for v in items:
+            _numbers(v, where)
+    return value
+
+
 def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
     """Construct `registry[name]` from config-file `params`: its constructor
     takes its parameters in order, one named ``dimension`` being the problem
@@ -141,6 +155,8 @@ def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
         expected = ", ".join(wanted) or "none"
         raise ValueError(f"{kind} oracle {name!r}: {', '.join(wrong)} parameter "
                          f"(expected: {expected})")
+    for p in wanted:
+        _numbers(params[p], f"{kind} oracle {name!r} parameter {p!r}")
     args = {**params, "dimension": dimension}
     try:
         if sized is not None:
@@ -202,7 +218,7 @@ def load_run_config(path: Path) -> dict:
     elif x0_raw == "ones":
         x0 = np.ones(dimension)
     elif isinstance(x0_raw, list):
-        x0 = as_vector(x0_raw, dimension)
+        x0 = as_vector(_numbers(x0_raw, "x0"), dimension)
     else:
         raise ValueError(f"x0 must be 'zeros', 'ones', or a coordinate list, got {x0_raw!r}")
 
@@ -212,9 +228,11 @@ def load_run_config(path: Path) -> dict:
     return {"problem": problem, "config": config, "x0": x0, "output": Path(output)}
 
 
-def _run_one(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport | None:
-    """Solve once, printing each warning as one ``warning:`` line; None after
-    printing the error when `solve` rejects the input."""
+def _run_one(problem: CompositeProblem, config: SolverConfig, x0,
+             out: Path) -> SolveReport | None:
+    """Solve once and write the trace to `out`, printing each warning as one
+    ``warning:`` line; None after printing the error when `solve` rejects
+    the input or the trace cannot be written."""
     error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -231,6 +249,12 @@ def _run_one(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport
         "run %s: status=%s iterations=%d early_exits=%s",
         problem.name, report.status, report.iterations, list(report.early_exit_ks),
     )
+    try:
+        write_trace_csv(report.trace, out)
+    except OSError as exc:
+        print(f"error: cannot write trace to {out}: {exc}", file=sys.stderr)
+        return None
+    log.debug("trace written to %s (%d rows)", out, len(report.trace.records))
     return report
 
 
@@ -247,16 +271,10 @@ def cmd_run(args) -> int:
     cfg = _load_config_arg(args.config)
     if cfg is None:
         return _EXIT_INVALID
-    report = _run_one(cfg["problem"], cfg["config"], cfg["x0"])
+    out = Path(args.output) if args.output else cfg["output"]
+    report = _run_one(cfg["problem"], cfg["config"], cfg["x0"], out)
     if report is None:
         return _EXIT_INVALID
-    out = Path(args.output) if args.output else cfg["output"]
-    try:
-        write_trace_csv(report.trace, out)
-    except OSError as exc:
-        print(f"error: cannot write trace to {out}: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    log.debug("trace written to %s (%d rows)", out, len(report.trace.records))
     print(
         f"status={report.status} k={report.iterations} "
         f"psi={report.psi_final:.17g} residual={report.final_residual:.17g}"
@@ -269,9 +287,6 @@ def cmd_check(args) -> int:
         trace = read_trace_csv(args.trace)
     except (OSError, TraceFormatError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    if trace.config_echo is None:
-        print("error: trace has no config echo; re-emit it with proxgrad run", file=sys.stderr)
         return _EXIT_INVALID
     m = args.m if args.m is not None else trace.config_echo.m
     if m < 0:
@@ -322,23 +337,18 @@ def cmd_compare(args) -> int:
     cfg = _load_config_arg(args.config)
     if cfg is None:
         return _EXIT_INVALID
+    for m in args.m:
+        if m < 0:
+            print(f"error: m must be nonnegative, got {m}", file=sys.stderr)
+            return _EXIT_INVALID
 
     rows = []
     all_converged = True
     out_base = cfg["output"]
     for m in args.m:
-        if m < 0:
-            print(f"error: m must be nonnegative, got {m}", file=sys.stderr)
-            return _EXIT_INVALID
-        config = replace(cfg["config"], m=m)
-        report = _run_one(cfg["problem"], config, cfg["x0"])
-        if report is None:
-            return _EXIT_INVALID
         trace_path = out_base.with_name(f"{out_base.stem}_m{m}{out_base.suffix}")
-        try:
-            write_trace_csv(report.trace, trace_path)
-        except OSError as exc:
-            print(f"error: cannot write trace to {trace_path}: {exc}", file=sys.stderr)
+        report = _run_one(cfg["problem"], replace(cfg["config"], m=m), cfg["x0"], trace_path)
+        if report is None:
             return _EXIT_INVALID
         total_inner = sum(r.inner_iters + 1 for r in report.trace.records)
         rows.append(
@@ -350,7 +360,11 @@ def cmd_compare(args) -> int:
     lines = [COMPARE_HEADER] + rows
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
+        try:
+            Path(args.output).write_text(text, encoding="ascii")
+        except OSError as exc:
+            print(f"error: cannot write comparison to {args.output}: {exc}", file=sys.stderr)
+            return _EXIT_INVALID
     print(text, end="")
     return _EXIT_OK if all_converged else _EXIT_MAX_OUTER
 

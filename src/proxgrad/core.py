@@ -1,4 +1,5 @@
-"""Vector coercion, extended-real arithmetic, and the composite problem type.
+"""Vector coercion, extended-real arithmetic, the composite problem type, and
+the solver configuration.
 
 Points live in plain Euclidean space and are represented as dense 1-D float64
 numpy arrays.  The nonsmooth term of a composite objective may take the value
@@ -10,12 +11,15 @@ every finite value and ``finite + inf == inf``.
 All types in this module are frozen dataclasses and all operations are
 pure.  A smooth oracle's one-entry memo (see `SmoothOracle`) returns on a hit
 what a recompute would, so problems may be shared freely between
-concurrently running solves.  Nothing here knows the config-file format;
-`proxgrad.cli` builds oracles from configs.
+concurrently running solves.  `SolverConfig` lives here, below both the
+engine and the diagnostics: `solve` runs on it, and every trace carries it
+so that the checkers can re-verify a run from the file alone.  Nothing here
+knows the config-file format; `proxgrad.cli` builds oracles from configs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +32,7 @@ __all__ = [
     "ProxOracle",
     "CompositeProblem",
     "make_problem",
+    "SolverConfig",
 ]
 
 Vector = np.ndarray
@@ -115,3 +120,68 @@ def make_problem(smooth: SmoothOracle, nonsmooth: ProxOracle,
     """Pair a smooth and a nonsmooth oracle on vectors of `dimension`."""
     return CompositeProblem(smooth, nonsmooth, dimension)
 
+
+GAMMA0_STRATEGIES = ("constant", "bb_safeguarded")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """All algorithm parameters.
+
+    Defaults follow common practice for this method family: a small
+    sufficient-decrease constant, a window of 5, and wide stepsize bounds.
+    `tau` must exceed 1 so that backtracking actually increases gamma.
+    """
+
+    tau: float = 2.0
+    gamma_min: float = 1e-8
+    gamma_max: float = 1e8
+    delta: float = 1e-4
+    m: int = 5
+    gamma0_strategy: str = "bb_safeguarded"
+    gamma0_value: float = 1.0
+    tau_abs: float = 1e-6
+    eps_step: float = 1e-10
+    max_outer: int = 10000
+    max_inner: int = 100
+
+    def __post_init__(self):
+        # checked without coercion, so a trace's config echo keeps each value
+        # as given; a bool or a string is not a number here
+        for name in ("tau", "gamma_min", "gamma_max", "delta", "gamma0_value",
+                     "tau_abs", "eps_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{name} is too large to convert to a float") from None
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.tau > 1:
+            raise ValueError(f"tau must be > 1, got {self.tau}")
+        if not 0 < self.gamma_min <= self.gamma_max < math.inf:
+            raise ValueError(
+                f"need 0 < gamma_min <= gamma_max < inf, got "
+                f"[{self.gamma_min}, {self.gamma_max}]"
+            )
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not (type(self.m) is int and self.m >= 0):
+            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+        if self.gamma0_strategy not in GAMMA0_STRATEGIES:
+            raise ValueError(
+                f"gamma0_strategy must be one of {GAMMA0_STRATEGIES}, "
+                f"got {self.gamma0_strategy!r}"
+            )
+        if not self.gamma0_value > 0:
+            raise ValueError(f"gamma0_value must be positive, got {self.gamma0_value}")
+        if not self.tau_abs > 0:
+            raise ValueError(f"tau_abs must be positive, got {self.tau_abs}")
+        if self.eps_step < 0:
+            raise ValueError(f"eps_step must be >= 0, got {self.eps_step}")
+        if not (type(self.max_outer) is int and self.max_outer >= 1):
+            raise ValueError(f"max_outer must be a positive integer, got {self.max_outer}")
+        if not (type(self.max_inner) is int and self.max_inner >= 1):
+            raise ValueError(f"max_inner must be a positive integer, got {self.max_inner}")

@@ -3,7 +3,9 @@
 A trace holds one record per accepted outer step: record ``k`` describes the
 move from the k-th iterate to the next one, together with the termination
 residual that was evaluated *at* the k-th iterate before stepping (``+inf``
-sentinel at k = 0, where no previous gradient exists).
+sentinel at k = 0, where no previous gradient exists).  A trace always
+carries the `SolverConfig` it was made with, its problem name and an x0
+checksum; on file they form the required metadata line.
 
 The checkers are pure functions over traces.  They recompute every derived
 quantity (window maxima, envelopes) from the raw columns instead of trusting
@@ -20,12 +22,11 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .solver import SolverConfig
+from .core import SolverConfig
 
 __all__ = [
     "IterateRecord",
@@ -82,9 +83,9 @@ class IterateRecord:
 @dataclass(frozen=True)
 class Trace:
     records: tuple[IterateRecord, ...]
-    config_echo: "SolverConfig | None" = None
-    problem_name: str = ""
-    x0_hash: str = ""
+    config_echo: SolverConfig
+    problem_name: str
+    x0_hash: str
 
     def __post_init__(self):
         for i, rec in enumerate(self.records):
@@ -117,7 +118,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     meta = {
         "problem_name": trace.problem_name,
         "x0_hash": trace.x0_hash,
-        "config": asdict(trace.config_echo) if trace.config_echo is not None else None,
+        "config": asdict(trace.config_echo),
     }
     lines = [_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     lines.append(TRACE_HEADER)
@@ -133,26 +134,30 @@ def write_trace_csv(trace: Trace, path) -> None:
 def read_trace_csv(path) -> Trace:
     """Parse a trace file written by :func:`write_trace_csv`.
 
-    Validation is purely structural (field counts, number formats,
-    contiguous indices): semantically corrupted values must still load so
-    the checkers can flag them.  Rows are split on commas, since the writer
-    never quotes; a quoted field is a format error.
+    The metadata line is required and must hold a valid solver config, the
+    problem name and the x0 checksum, since the checkers need the config's
+    delta and m.  The rows are validated only structurally (field counts,
+    number formats, contiguous indices): semantically corrupted values must
+    still load so the checkers can flag them.  Rows are split on commas,
+    since the writer never quotes; a quoted field is a format error.
     """
-    from .solver import SolverConfig  # deferred; solver imports this module
-
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read()
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"not an ASCII file: {exc}") from exc
     lines = [ln for ln in raw.splitlines() if ln.strip()]
-    meta = {"problem_name": "", "x0_hash": "", "config": None}
-    if lines and lines[0].startswith(_META_PREFIX):
-        try:
-            meta.update(json.loads(lines[0][len(_META_PREFIX):]))
-        except (TypeError, ValueError) as exc:  # not JSON, or not an object
-            raise TraceFormatError(f"bad metadata line: {exc}") from exc
-        lines = lines[1:]
+    if not lines or not lines[0].startswith(_META_PREFIX):
+        raise TraceFormatError(f"missing the {_META_PREFIX.strip()!r} metadata line")
+    try:
+        meta = json.loads(lines[0][len(_META_PREFIX):])
+        config = SolverConfig(**meta["config"])
+        problem_name, x0_hash = meta["problem_name"], meta["x0_hash"]
+    except KeyError as exc:
+        raise TraceFormatError(f"bad metadata: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad config
+        raise TraceFormatError(f"bad metadata: {exc}") from exc
+    lines = lines[1:]
     if not lines or lines[0] != TRACE_HEADER:
         raise TraceFormatError(f"missing or wrong header; expected {TRACE_HEADER!r}")
     records = []
@@ -177,16 +182,8 @@ def read_trace_csv(path) -> Trace:
             )
         except ValueError as exc:
             raise TraceFormatError(f"bad row {ln!r}: {exc}") from exc
-    try:
-        config = SolverConfig(**meta["config"]) if meta.get("config") else None
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"bad metadata: {exc}") from exc
-    return Trace(
-        records=tuple(records),
-        config_echo=config,
-        problem_name=meta.get("problem_name", ""),
-        x0_hash=meta.get("x0_hash", ""),
-    )
+    return Trace(records=tuple(records), config_echo=config, problem_name=problem_name,
+                 x0_hash=x0_hash)
 
 
 @dataclass(frozen=True)
@@ -209,20 +206,17 @@ def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
     return maxima
 
 
-def check_acceptance(trace: Trace, *, delta: float | None = None,
-                     m: int | None = None) -> list[Violation]:
+def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
     """Re-verify the sufficient-decrease certificate on every checkable row.
 
     Row k asserts ``psi[k+1] <= max(psi[k-m_k .. k]) - delta*(gamma_k/2)*step_k^2``
-    with the window maxima recomputed from the psi column.  The final row has
-    no successor psi in the file and is certified at solve time instead.
-    Returns an empty list iff the trace passes.
+    with the window maxima recomputed from the psi column; delta is the
+    trace's, and so is m unless given.  The final row has no successor psi
+    in the file and is certified at solve time instead.  Returns an empty
+    list iff the trace passes.
     """
-    if delta is None or m is None:
-        if trace.config_echo is None:
-            raise TraceFormatError("trace carries no config echo; pass delta and m")
-        delta = trace.config_echo.delta if delta is None else delta
-        m = trace.config_echo.m if m is None else m
+    delta = trace.config_echo.delta
+    m = trace.config_echo.m if m is None else m
     psi = [r.psi for r in trace.records]
     env = _window_maxima(psi, m)
     violations = []
@@ -290,8 +284,6 @@ class GammaBoundReport:
 
 
 def gamma_bound_report(trace: Trace) -> GammaBoundReport:
-    if trace.config_echo is None:
-        raise TraceFormatError("trace carries no config echo")
     tau, gamma_max = trace.config_echo.tau, trace.config_echo.gamma_max
     gammas = [r.gamma for r in trace.records]
     if not gammas:

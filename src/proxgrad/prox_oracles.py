@@ -42,6 +42,13 @@ def _check_gamma(gamma: float) -> float:
     return g
 
 
+def _check_lam(lam: float) -> float:
+    lam = float(lam)
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    return lam
+
+
 def make_zero() -> ProxOracle:
     """phi == 0; the prox is the identity and the solver reduces to
     plain gradient descent with backtracking."""
@@ -59,9 +66,7 @@ def make_zero() -> ProxOracle:
 def make_l1(lam: float) -> ProxOracle:
     """phi(x) = lam * ||x||_1; prox is the coordinatewise soft threshold
     ``sign(v_i) * max(|v_i| - lam/gamma, 0)``."""
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    lam = _check_lam(lam)
 
     def peval(x: Vector) -> float:
         return lam * float(np.sum(np.abs(x)))
@@ -81,9 +86,7 @@ def make_l0(lam: float) -> ProxOracle:
     Ties ((gamma/2)*v_i^2 == lam) resolve to 0.  Not continuous on its
     domain, so the nonmonotone solver warns when run on it with m > 0.
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    lam = _check_lam(lam)
 
     def peval(x: Vector) -> float:
         return lam * float(np.count_nonzero(x))
@@ -109,9 +112,7 @@ def make_lp_half(lam: float) -> ProxOracle:
     form misplaces exact ties such as lam = gamma = 1, v_i = 1.5, where 0
     and (2/3) v_i have equal objective.  Ties resolve to 0.
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    lam = _check_lam(lam)
 
     def peval(x: Vector) -> float:
         return lam * float(np.sum(np.sqrt(np.abs(x))))
@@ -173,8 +174,8 @@ def make_sphere(radius: float) -> ProxOracle:
     only up to roundoff.
     """
     r = float(radius)
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
 
     def peval(x: Vector) -> float:
         nrm = math.sqrt(float(np.dot(x, x)))

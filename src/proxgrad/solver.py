@@ -15,7 +15,8 @@ stationarity residual
     ``|| gamma_{k-1} (x^{k-1} - x^k) + grad f(x^k) - grad f(x^{k-1}) ||``
 
 checked before any work at each iteration, with a step-norm fallback as a
-secondary exit.  A run is strictly sequential, holds no global mutable
+secondary exit.  These parameters are the fields of
+`proxgrad.core.SolverConfig`, which every trace carries.  A run is strictly sequential, holds no global mutable
 state, and is deterministic given (problem, config, x0).  Problems are
 frozen dataclasses, and each smooth oracle's one-entry memo returns on a hit
 the bits a recompute would give, so any number of solves may share a problem
@@ -32,80 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, Vector, as_vector
+from .core import CompositeProblem, SolverConfig, Vector, as_vector
 from .diagnostics import IterateRecord, Trace, hash_x0
 
 __all__ = [
-    "SolverConfig",
     "SolveReport",
     "gamma0_select",
     "solve",
 ]
 
-GAMMA0_STRATEGIES = ("constant", "bb_safeguarded")
-
 STATUS_CONVERGED_RESIDUAL = "converged_residual"
 STATUS_CONVERGED_STEP = "converged_step"
 STATUS_MAX_OUTER = "max_outer_reached"
 STATUS_INNER_CAP = "inner_loop_cap"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """All algorithm parameters.
-
-    Defaults follow common practice for this method family: a small
-    sufficient-decrease constant, a window of 5, and wide stepsize bounds.
-    `tau` must exceed 1 so that backtracking actually increases gamma.
-    """
-
-    tau: float = 2.0
-    gamma_min: float = 1e-8
-    gamma_max: float = 1e8
-    delta: float = 1e-4
-    m: int = 5
-    gamma0_strategy: str = "bb_safeguarded"
-    gamma0_value: float = 1.0
-    tau_abs: float = 1e-6
-    eps_step: float = 1e-10
-    max_outer: int = 10000
-    max_inner: int = 100
-
-    def __post_init__(self):
-        if not self.tau > 1:
-            raise ValueError(f"tau must be > 1, got {self.tau}")
-        if not 0 < self.gamma_min <= self.gamma_max < math.inf:
-            raise ValueError(
-                f"need 0 < gamma_min <= gamma_max < inf, got "
-                f"[{self.gamma_min}, {self.gamma_max}]"
-            )
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (type(self.m) is int and self.m >= 0):
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
-        if self.gamma0_strategy not in GAMMA0_STRATEGIES:
-            raise ValueError(
-                f"gamma0_strategy must be one of {GAMMA0_STRATEGIES}, "
-                f"got {self.gamma0_strategy!r}"
-            )
-        if not self.gamma0_value > 0:
-            raise ValueError(f"gamma0_value must be positive, got {self.gamma0_value}")
-        if not self.tau_abs > 0:
-            raise ValueError(f"tau_abs must be positive, got {self.tau_abs}")
-        if self.eps_step < 0:
-            raise ValueError(f"eps_step must be >= 0, got {self.eps_step}")
-        if not (type(self.max_outer) is int and self.max_outer >= 1):
-            raise ValueError(f"max_outer must be a positive integer, got {self.max_outer}")
-        if not (type(self.max_inner) is int and self.max_inner >= 1):
-            raise ValueError(f"max_inner must be a positive integer, got {self.max_inner}")
-        # the checks above compare exactly, so an int past the float range
-        # passes them and would overflow only in arithmetic, mid-solve
-        for name in ("tau", "gamma_min", "gamma_max", "delta", "gamma0_value",
-                     "tau_abs", "eps_step"):
-            try:
-                float(getattr(self, name))
-            except OverflowError:
-                raise ValueError(f"{name} is too large to convert to a float") from None
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

@@ -160,6 +160,62 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("base, overrides, fragment", [
+        ("lasso_small", {"solver.tau_abs": math.inf}, "tau_abs"),
+        ("lasso_small", {"solver.eps_step": math.nan}, "eps_step"),
+        ("lasso_small", {"solver.gamma_min": True}, "gamma_min"),
+        ("lasso_small", {"solver.tau": "2"}, "tau"),
+        ("lasso_small", {"solver.gamma0_strategy": "constant",
+                         "solver.gamma0_value": math.inf}, "gamma0_value"),
+        ("lasso_small", {"problem.nonsmooth": {"name": "l1", "params": {"lam": "0.5"}}}, "lam"),
+        ("lasso_small", {"problem.nonsmooth": {"name": "l1", "params": {"lam": True}}}, "lam"),
+        ("lasso_small", {"problem.nonsmooth": {"name": "l1", "params": {"lam": math.nan}}},
+         "lam"),
+        ("lasso_small", {"problem.nonsmooth": {"name": "l1", "params": {"lam": math.inf}}},
+         "lam"),
+        ("sphere_quadratic", {"problem.nonsmooth": {"name": "sphere",
+                                                    "params": {"radius": True}}}, "radius"),
+        ("sphere_quadratic", {"problem.nonsmooth": {"name": "sphere",
+                                                    "params": {"radius": math.inf}}}, "radius"),
+        ("lasso_small", {"x0": ["0.5", 0]}, "x0"),
+        ("lasso_small", {"x0": [True, 0]}, "x0"),
+        ("lasso_small", {"problem.smooth": {"name": "quadratic",
+                                            "params": {"A": [["1", 0], [0, 1]],
+                                                       "b": [1.0, 0.1]}}}, "'A'"),
+        ("lasso_small", {"problem.smooth": {"name": "quadratic",
+                                            "params": {"A": [[1, 0], [0, 1]],
+                                                       "b": [True, 0.1]}}}, "'b'"),
+    ], ids=["tau_abs_inf", "eps_step_nan", "gamma_min_true", "tau_str", "gamma0_value_inf",
+            "lam_str", "lam_true", "lam_nan", "lam_inf", "radius_true", "radius_inf",
+            "x0_str", "x0_true", "A_str", "b_true"])
+    def test_value_that_is_not_a_finite_number_exits_1_naming_it(self, tmp_path, capsys,
+                                                                 base, overrides, fragment):
+        # numpy would read a bool or a string as a number, and a non-finite
+        # value would run or fail later under another name
+        path = write_config(tmp_path, base=base, **overrides)
+        code = run_cli(["run", str(path), "--output", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
+    def test_step_fallback_exit(self, tmp_path, capsys):
+        path = write_config(tmp_path, **{
+            "problem.smooth": {"name": "quadratic",
+                               "params": {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.5]}},
+            "problem.nonsmooth": {"name": "zero", "params": {}},
+            "solver": {"gamma0_strategy": "constant", "gamma0_value": 1e4, "eps_step": 1e-3}})
+        assert run_cli(["run", str(path), "--output", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().out.startswith("status=converged_step k=1 ")
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write trace to {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_huge_m_runs_as_m_equal_max_outer(self, tmp_path, capsys):
         max_outer = json.loads(shipped_path("logistic_l1").read_text())["solver"]["max_outer"]
         rows = []
@@ -278,7 +334,8 @@ class TestCheck:
         assert run_cli(["check", str(trace)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: trace has no config echo; re-emit it with proxgrad run\n"
+        assert captured.err == ("error: cannot read trace: missing the '# proxgrad-trace' "
+                                "metadata line\n")
 
     def test_negative_m_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -356,6 +413,22 @@ class TestCompare:
         printed = capsys.readouterr().out
         assert code == 0
         assert out_csv.read_text() == printed
+
+    def test_negative_m_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["compare", "lasso_small", "--m", "0", "5", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: m must be nonnegative, got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "missing" / "cmp.csv"
+        assert run_cli(["compare", "lasso_small", "--m", "0", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write comparison to {out}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestList:

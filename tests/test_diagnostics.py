@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -57,13 +58,6 @@ class TestCheckAcceptance:
         for k, rec in enumerate(trace.records[:-1]):
             bound = psi[k] - cfg["config"].delta * (rec.gamma / 2.0) * rec.step_norm**2
             assert psi[k + 1] <= bound + 1e-10
-
-    def test_requires_config_when_no_echo(self):
-        trace, _ = lasso_trace()
-        bare = dataclasses.replace(trace, config_echo=None)
-        with pytest.raises(TraceFormatError):
-            check_acceptance(bare)
-        assert check_acceptance(bare, delta=1e-4, m=5) == []
 
 
 class TestCheckEnvelope:
@@ -204,7 +198,8 @@ class TestTraceCsv:
                           accepted_ref=v)
             for k, v in enumerate(values))
         path = tmp_path / "t.csv"
-        write_trace_csv(Trace(records=records), path)
+        write_trace_csv(Trace(records=records, config_echo=SolverConfig(), problem_name="p",
+                              x0_hash="a" * 16), path)
         want = []
         for r in records:
             residual = "" if math.isinf(r.residual) else fmt(r.residual)
@@ -253,12 +248,29 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda meta: {**meta, "config": None}, "bad metadata: "),
+        (lambda meta: {k: v for k, v in meta.items() if k != "x0_hash"},
+         "bad metadata: missing key 'x0_hash'"),
+    ], ids=["null_config", "no_x0_hash"])
+    def test_rejects_metadata_without_config(self, tmp_path, edit, fragment):
+        # delta and m come from the trace's config, so a trace must carry one
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[0][len("# proxgrad-trace "):])
+        lines[0] = "# proxgrad-trace " + json.dumps(edit(meta))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=fragment):
+            read_trace_csv(path)
+
     def test_rejects_noncontiguous_indices(self):
         rec = IterateRecord(k=3, psi=0.0, f_val=0.0, phi_val=0.0, gamma0=1.0,
                             gamma=1.0, inner_iters=0, step_norm=0.0,
                             residual=math.inf, accepted_ref=0.0)
         with pytest.raises(TraceFormatError, match="contiguous"):
-            Trace(records=(rec,))
+            Trace(records=(rec,), config_echo=SolverConfig(), problem_name="p", x0_hash="a" * 16)
 
     def test_corrupted_psi_still_parses(self, tmp_path):
         # semantic corruption must load so the checkers can flag it

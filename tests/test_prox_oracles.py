@@ -313,6 +313,19 @@ class TestBruteForce:
             brute_force_prox(lambda x: 0.0 * x, 1.0, 0.0, lo=1.0, hi=0.0, step=0.1)
 
 
+@pytest.mark.parametrize("make, value, fragment", [
+    (make, value, "lam must be finite and >= 0")
+    for make in (make_l1, make_l0, make_lp_half) for value in (-1.0, math.nan, INF)
+] + [(make_sphere, value, "radius must be positive and finite")
+     for value in (0.0, math.nan, INF)])
+def test_penalty_weight_and_radius_must_be_finite(make, value, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make(value)
+    # numpy scalars are numbers to the library constructors
+    assert make(np.float32(0.5)).eval(np.array([0.5])) == pytest.approx(
+        make(0.5).eval(np.array([0.5])))
+
+
 def shipped_prox_oracles():
     return [
         make_zero(),

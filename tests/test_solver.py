@@ -64,6 +64,13 @@ class TestSolverConfig:
             ("m", True, "nonnegative"),
             ("max_outer", True, "positive"),
             ("max_inner", True, "positive"),
+            # not finite numbers: tau_abs = inf would end a run at k = 0 on
+            # inf <= inf, and "2" would fail a comparison with a TypeError
+            ("tau_abs", math.inf, "tau_abs must be finite"),
+            ("eps_step", math.nan, "eps_step must be finite"),
+            ("gamma0_value", math.inf, "gamma0_value must be finite"),
+            ("gamma_min", True, "gamma_min must be a number"),
+            ("tau", "2", "tau must be a number"),
         ],
     )
     def test_rejects_bad_values(self, field, value, fragment):
@@ -400,6 +407,21 @@ class TestSolve:
         assert report.iterations == 1
         assert len(report.trace.records) == 1
         assert math.isinf(report.trace.records[0].residual)
+
+    def test_small_step_ends_converged_step(self):
+        # gamma0 = 1e4 takes a step of 1.1e-4 <= eps_step while the residual
+        # is still 1.118, so only the step-norm fallback can end the run
+        problem = make_problem(make_quadratic(np.eye(2), [1.0, 0.5]), make_zero(), 2)
+        config = SolverConfig(gamma0_strategy="constant", gamma0_value=1e4, eps_step=1e-3)
+        report = solve(problem, config, np.zeros(2))
+        assert (report.status, report.iterations) == ("converged_step", 1)
+        assert report.final_residual == pytest.approx(1.118, abs=1e-3)
+        assert check_acceptance(report.trace) == []
+        ref = reference_nonmonotone_solve(problem, config, np.zeros(2))
+        assert (ref.status, ref.final_residual) == (report.status, report.final_residual)
+        assert ([repr(astuple(r)) for r in report.trace.records]
+                == [repr(astuple(r)) for r in ref.trace.records])
+        assert report.x_final.tobytes() == ref.x_final.tobytes()
 
     def test_x0_outside_domain_rejected(self):
         problem = make_problem(half_x_squared(1), make_box([0.0], [1.0]), 1)
