@@ -7,9 +7,10 @@ Subcommands
     name), write the CSV trace, and print a one-line summary.  Exit 0 on
     convergence, 2 when the outer iteration cap is hit, 3 when the inner
     loop caps out, 1 on invalid input.
-``check <trace> [--m M]``
-    Run every trace checker, print one line per checker, exit 0 iff all
-    pass (4 when a check fails, 1 when the file cannot be parsed).
+``check <trace>``
+    Run every trace checker against the trace's own config, print one line
+    per checker, exit 0 iff all pass (4 when a check fails, 1 when the file
+    cannot be parsed).
 ``compare <config> --m M [M ...]``
     Re-run the same problem once per window size and emit a comparison CSV.
 ``list``
@@ -18,9 +19,11 @@ Subcommands
 This is the one module that reads configs.  `build_smooth` and
 `build_prox` map an oracle entry's name and params to the constructors of
 `smooth_oracles` and `prox_oracles`; `load_run_config` calls them, and
-`make_problem`, by their module-level names.  Every invalid config value
-ends in exit 1 and one ``error:`` line on stderr, and each warning of a
-solve prints as one ``warning:`` line.
+`make_problem`, by their module-level names.  Each warning of a solve
+prints as one ``warning:`` line.  A command raises ValueError on invalid
+input (a bad config value, x0, trace or output path, a negative window),
+and `main` is the one place that reports it: one ``error:`` line on
+stderr and exit 1.
 
 The ``PROXGRAD_LOG`` environment variable ({quiet, info, debug}, default
 quiet) controls stderr verbosity.  Summaries and CSV output go to stdout;
@@ -190,6 +193,8 @@ def load_run_config(path: Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("config is nested too deeply") from None
     if "problem" not in _section(raw, "config"):
         raise ValueError("config is missing the 'problem' section")
     prob = _section(raw["problem"], "problem section")
@@ -228,23 +233,16 @@ def load_run_config(path: Path) -> dict:
     return {"problem": problem, "config": config, "x0": x0, "output": Path(output)}
 
 
-def _run_one(problem: CompositeProblem, config: SolverConfig, x0,
-             out: Path) -> SolveReport | None:
-    """Solve once and write the trace to `out`, printing each warning as one
-    ``warning:`` line; None after printing the error when `solve` rejects
-    the input or the trace cannot be written."""
-    error = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
+def _run_one(problem: CompositeProblem, config: SolverConfig, x0, out: Path) -> SolveReport:
+    """Solve once and write the trace to `out`.  Each warning of the solve
+    prints as one ``warning:`` line, before any error this raises."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             report = solve(problem, config, x0)
-        except ValueError as exc:
-            error = exc
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return None
+    finally:
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     log.info(
         "run %s: status=%s iterations=%d early_exits=%s",
         problem.name, report.status, report.iterations, list(report.early_exit_ks),
@@ -252,29 +250,15 @@ def _run_one(problem: CompositeProblem, config: SolverConfig, x0,
     try:
         write_trace_csv(report.trace, out)
     except OSError as exc:
-        print(f"error: cannot write trace to {out}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot write trace to {out}: {exc}") from exc
     log.debug("trace written to %s (%d rows)", out, len(report.trace.records))
     return report
 
 
-def _load_config_arg(arg: str) -> dict | None:
-    """Load a config path or shipped name; None after printing the error."""
-    try:
-        return load_run_config(_resolve_config_path(arg))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_run(args) -> int:
-    cfg = _load_config_arg(args.config)
-    if cfg is None:
-        return _EXIT_INVALID
+    cfg = load_run_config(_resolve_config_path(args.config))
     out = Path(args.output) if args.output else cfg["output"]
     report = _run_one(cfg["problem"], cfg["config"], cfg["x0"], out)
-    if report is None:
-        return _EXIT_INVALID
     print(
         f"status={report.status} k={report.iterations} "
         f"psi={report.psi_final:.17g} residual={report.final_residual:.17g}"
@@ -286,12 +270,7 @@ def cmd_check(args) -> int:
     try:
         trace = read_trace_csv(args.trace)
     except (OSError, TraceFormatError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    m = args.m if args.m is not None else trace.config_echo.m
-    if m < 0:
-        print(f"error: m must be nonnegative, got {m}", file=sys.stderr)
-        return _EXIT_INVALID
+        raise ValueError(f"cannot read trace: {exc}") from exc
     # tail-check defaults scale with the run's residual tolerance but are
     # floored at the desk-scale bands: raw step norms shrink like
     # tau_abs / gamma, so a strict tau_abs alone would over-tighten them
@@ -300,7 +279,7 @@ def cmd_check(args) -> int:
     product_tol = args.product_tol if args.product_tol is not None else max(10.0 * tau_abs, 1e-5)
 
     ok = True
-    violations = diagnostics.check_acceptance(trace, m=m)
+    violations = diagnostics.check_acceptance(trace)
     if violations:
         ok = False
         print(f"check_acceptance: FAIL ({len(violations)} violations)")
@@ -310,7 +289,7 @@ def cmd_check(args) -> int:
         print("check_acceptance: pass")
 
     for name, result in (
-        ("check_envelope", diagnostics.check_envelope(trace, m)),
+        ("check_envelope", diagnostics.check_envelope(trace, trace.config_echo.m)),
         ("check_level_set", diagnostics.check_level_set(trace)),
     ):
         print(f"{name}: {'pass' if result else 'FAIL'}")
@@ -334,13 +313,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config_arg(args.config)
-    if cfg is None:
-        return _EXIT_INVALID
+    cfg = load_run_config(_resolve_config_path(args.config))
     for m in args.m:
         if m < 0:
-            print(f"error: m must be nonnegative, got {m}", file=sys.stderr)
-            return _EXIT_INVALID
+            raise ValueError(f"m must be nonnegative, got {m}")
 
     rows = []
     all_converged = True
@@ -348,8 +324,6 @@ def cmd_compare(args) -> int:
     for m in args.m:
         trace_path = out_base.with_name(f"{out_base.stem}_m{m}{out_base.suffix}")
         report = _run_one(cfg["problem"], replace(cfg["config"], m=m), cfg["x0"], trace_path)
-        if report is None:
-            return _EXIT_INVALID
         total_inner = sum(r.inner_iters + 1 for r in report.trace.records)
         rows.append(
             f"{m},{report.status},{report.iterations},{total_inner},{report.psi_final:.17g}"
@@ -363,8 +337,7 @@ def cmd_compare(args) -> int:
         try:
             Path(args.output).write_text(text, encoding="ascii")
         except OSError as exc:
-            print(f"error: cannot write comparison to {args.output}: {exc}", file=sys.stderr)
-            return _EXIT_INVALID
+            raise ValueError(f"cannot write comparison to {args.output}: {exc}") from exc
     print(text, end="")
     return _EXIT_OK if all_converged else _EXIT_MAX_OUTER
 
@@ -396,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify the invariants of a trace file")
     p_check.add_argument("trace", help="path to a CSV trace")
-    p_check.add_argument("--m", type=int, default=None,
-                         help="window size used by the run (default: from the trace)")
     p_check.add_argument("--steps-tol", type=float, default=None,
                          help="tolerance for the vanishing-steps check "
                               "(default: max(tau_abs, 1e-6))")
@@ -423,7 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INVALID
 
 
 def entry_point() -> None:

@@ -191,7 +191,6 @@ class Violation:
     """A single failed per-row assertion discovered by a checker."""
 
     k: int
-    kind: str
     detail: str
 
 
@@ -227,7 +226,6 @@ def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
             violations.append(
                 Violation(
                     k=k,
-                    kind="acceptance",
                     detail=f"psi[{k + 1}]={psi[k + 1]:.17g} exceeds bound {bound:.17g}",
                 )
             )

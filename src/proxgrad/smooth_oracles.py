@@ -73,7 +73,10 @@ def make_quadratic(A_rows, b) -> SmoothOracle:
     A = np.asarray(A_rows, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
-    bv = as_vector(b)
+    try:
+        bv = as_vector(b)
+    except ValueError as exc:
+        raise ValueError(f"parameter 'b': {exc}") from None
     if A.shape[0] != bv.size:
         raise ValueError(
             f"shape mismatch: A has {A.shape[0]} rows but b has {bv.size} entries"

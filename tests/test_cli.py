@@ -113,6 +113,8 @@ class TestRun:
             ({"problem.smooth": {"name": "quadratic",
                                  "params": {"A": [[1e200, 0.0], [0.0, 1.0]], "b": [1.0, 0.1]}},
               "x0": "ones"}, "smooth term 'quadratic' is not finite at x0"),
+            pytest.param('{"x0": ' + "[" * 5000 + "]" * 5000 + "}", "config is nested too deeply",
+                         id="x0_nested_5000"),
         ],
     )
     def test_bad_config_exits_1_with_one_line_error(self, tmp_path, capsys, config, fragment):
@@ -185,9 +187,15 @@ class TestRun:
         ("lasso_small", {"problem.smooth": {"name": "quadratic",
                                             "params": {"A": [[1, 0], [0, 1]],
                                                        "b": [True, 0.1]}}}, "'b'"),
+        ("lasso_small", {"problem.smooth": {"name": "quadratic",
+                                            "params": {"A": [[1, 0], [0, 1]],
+                                                       "b": [math.inf, 0.1]}}}, "'b'"),
+        ("lasso_small", {"problem.smooth": {"name": "quadratic",
+                                            "params": {"A": [[1, 0], [0, 1]],
+                                                       "b": [0.1, math.nan]}}}, "'b'"),
     ], ids=["tau_abs_inf", "eps_step_nan", "gamma_min_true", "tau_str", "gamma0_value_inf",
             "lam_str", "lam_true", "lam_nan", "lam_inf", "radius_true", "radius_inf",
-            "x0_str", "x0_true", "A_str", "b_true"])
+            "x0_str", "x0_true", "A_str", "b_true", "b_inf", "b_nan"])
     def test_value_that_is_not_a_finite_number_exits_1_naming_it(self, tmp_path, capsys,
                                                                  base, overrides, fragment):
         # numpy would read a bool or a string as a number, and a non-finite
@@ -215,6 +223,15 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write trace to {out}: ")
         assert captured.err.count("\n") == 1
+
+    def test_warning_line_comes_before_the_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        assert run_cli(["run", "quartic_l0", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        warning, error = captured.err.splitlines(keepends=True)
+        assert warning == WINDOW_WARNING.format(5)
+        assert error.startswith(f"error: cannot write trace to {out}: ")
 
     def test_huge_m_runs_as_m_equal_max_outer(self, tmp_path, capsys):
         max_outer = json.loads(shipped_path("logistic_l1").read_text())["solver"]["max_outer"]
@@ -337,14 +354,6 @@ class TestCheck:
         assert captured.err == ("error: cannot read trace: missing the '# proxgrad-trace' "
                                 "metadata line\n")
 
-    def test_negative_m_exits_1(self, tmp_path, capsys):
-        trace = tmp_path / "t.csv"
-        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
-        capsys.readouterr()
-        assert run_cli(["check", str(trace), "--m", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: m must be nonnegative, got -1\n")
-
     def test_short_trace_skips_tail_checks(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         assert run_cli(["run", "sphere_quadratic", "--output", str(trace)]) == 0
@@ -354,11 +363,12 @@ class TestCheck:
         assert code == 0
         assert "skipped" in out
 
-    def test_explicit_m_flag(self, tmp_path, capsys):
-        trace = tmp_path / "t.csv"
-        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
-        capsys.readouterr()
-        assert run_cli(["check", str(trace), "--m", "5"]) == 0
+    def test_m_flag_is_a_usage_error(self, capsys):
+        # the window is the trace's own; argparse rejects the flag before any read
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["check", "t.csv", "--m", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m 5" in capsys.readouterr().err
 
     def test_every_shipped_trace_checks_clean(self, tmp_path, capsys):
         for name in SHIPPED:
