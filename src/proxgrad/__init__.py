@@ -42,7 +42,6 @@ from .smooth_oracles import (
 )
 from .solver import (
     SolveReport,
-    gamma0_select,
     solve,
 )
 

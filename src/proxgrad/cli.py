@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import warnings
@@ -161,9 +162,12 @@ def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
     for p in wanted:
         _numbers(params[p], f"{kind} oracle {name!r} parameter {p!r}")
     args = {**params, "dimension": dimension}
-    try:
-        if sized is not None:
+    if sized is not None:
+        try:
             args[sized] = np.asarray(args[sized], dtype=np.float64)
+        except (TypeError, OverflowError, ValueError) as exc:
+            raise ValueError(f"{kind} oracle {name!r}: bad parameter {sized!r}: {exc}") from None
+    try:
         oracle = make(*(args[p] for p in names))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{kind} oracle {name!r}: bad parameter: {exc}") from None
@@ -223,7 +227,11 @@ def load_run_config(path: Path) -> dict:
     elif x0_raw == "ones":
         x0 = np.ones(dimension)
     elif isinstance(x0_raw, list):
-        x0 = as_vector(_numbers(x0_raw, "x0"), dimension)
+        x0 = _numbers(x0_raw, "x0")
+        try:
+            x0 = as_vector(x0, dimension)
+        except ValueError as exc:
+            raise ValueError(f"x0: {exc}") from None
     else:
         raise ValueError(f"x0 must be 'zeros', 'ones', or a coordinate list, got {x0_raw!r}")
 
@@ -267,6 +275,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    for flag, tol in (("--steps-tol", args.steps_tol), ("--product-tol", args.product_tol)):
+        if tol is not None and not 0.0 <= tol < math.inf:
+            raise ValueError(f"{flag} must be finite and >= 0, got {tol}")
     try:
         trace = read_trace_csv(args.trace)
     except (OSError, TraceFormatError) as exc:

@@ -51,6 +51,8 @@ def as_vector(x, dimension: int | None = None) -> Vector:
         v = np.asarray(x, dtype=np.float64)
     except (TypeError, OverflowError) as exc:  # e.g. a dict entry, or an int past 1e308
         raise ValueError(f"vector has a coordinate that is not a float: {exc}") from None
+    except ValueError:  # a ragged list, or one nested past numpy's 64 dimensions
+        raise ValueError("expected a 1-D vector, got a ragged or too deeply nested list") from None
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got array of shape {v.shape}")
     if v.size == 0:

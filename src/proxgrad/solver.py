@@ -7,9 +7,13 @@ path serves both.  `solve` is that method written straight through: one
 outer loop around an inner backtracking loop.
 
 No stepsize rule needs a Lipschitz constant: each outer iteration starts
-from a spectral or constant guess ``gamma0 in [gamma_min, gamma_max]`` and
-multiplies by ``tau > 1`` until the candidate proximal step passes the
-acceptance test.  Termination is certified through the computable
+from a guess ``gamma0`` and multiplies it by ``tau > 1`` until the candidate
+proximal step passes the acceptance test.  The ``constant`` strategy guesses
+the configured value.  The ``bb_safeguarded`` strategy guesses 1 on the first
+iteration and then the spectral quotient <s,y>/<s,s>, with
+s = x^k - x^{k-1} and y = grad f(x^k) - grad f(x^{k-1}), falling back to the
+previous accepted gamma when <s,y> <= 0 or s = 0.  Either guess is clamped to
+``[gamma_min, gamma_max]``.  Termination is certified through the computable
 stationarity residual
 
     ``|| gamma_{k-1} (x^{k-1} - x^k) + grad f(x^k) - grad f(x^{k-1}) ||``
@@ -26,9 +30,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,6 @@ from .diagnostics import IterateRecord, Trace, hash_x0
 
 __all__ = [
     "SolveReport",
-    "gamma0_select",
     "solve",
 ]
 
@@ -46,33 +47,6 @@ STATUS_CONVERGED_RESIDUAL = "converged_residual"
 STATUS_CONVERGED_STEP = "converged_step"
 STATUS_MAX_OUTER = "max_outer_reached"
 STATUS_INNER_CAP = "inner_loop_cap"
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
-
-
-def gamma0_select(config: SolverConfig,
-                  prev: tuple[Vector, Vector, float] | None) -> float:
-    """Pick the trial stepsize parameter gamma0 in [gamma_min, gamma_max].
-
-    `prev` is the previous accepted step ``(s, y, gamma)``: s = x^k - x^{k-1},
-    y = grad f(x^k) - grad f(x^{k-1}) and its accepted gamma_{k-1}; None on
-    the first iteration.  The ``constant`` strategy clamps the configured
-    value.  The ``bb_safeguarded`` strategy clamps the spectral quotient
-    <s,y>/<s,s>, falling back to the previous accepted gamma when <s,y> <= 0
-    or s = 0, and to 1 on the first iteration.
-    """
-    if config.gamma0_strategy == "constant":
-        return _clamp(config.gamma0_value, config.gamma_min, config.gamma_max)
-    if prev is None:
-        return _clamp(1.0, config.gamma_min, config.gamma_max)
-    s, y, gamma_prev = prev
-    sy = float(np.dot(s, y))
-    ss = float(np.dot(s, s))
-    if sy > 0.0 and ss > 0.0:
-        return _clamp(sy / ss, config.gamma_min, config.gamma_max)
-    return _clamp(gamma_prev, config.gamma_min, config.gamma_max)
 
 
 @dataclass(frozen=True)
@@ -138,21 +112,20 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             )
 
         grad = problem.smooth.grad(x)
-        # the last min(k, m) + 1 accepted objective values; with m = 0 their
-        # maximum is the current one and the test is plain sufficient decrease.
-        # deque takes no maxlen past sys.maxsize; no run appends that many
-        # values, so the cap never drops one, whatever the m
-        window = deque([psi_x], maxlen=min(config.m + 1, sys.maxsize))
+        # every accepted objective value; the reference is the maximum of the
+        # last min(k, m) + 1, so with m = 0 it is the current one and the test
+        # is plain sufficient decrease
+        psis = [psi_x]
         records: list[IterateRecord] = []
         early_ks: list[int] = []
-        # the previous accepted step (s, y, gamma) and the iterate and
-        # gradient it started from; None before the first step
-        prev = x_prev = grad_prev = None
+        # the previous iterate and its gradient, None before the first step;
+        # gamma, d = x - x_prev and step_sq = <d, d> are the accepted step's
+        x_prev = grad_prev = None
         step_small = False
         k = 0
 
         while True:
-            if prev is None:
+            if x_prev is None:
                 residual = math.inf
             else:
                 r = gamma * (x_prev - x) + grad - grad_prev
@@ -169,8 +142,16 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
                 status = STATUS_MAX_OUTER
                 break
 
-            gamma0 = gamma0_select(config, prev)
-            psi_ref = max(window)
+            if config.gamma0_strategy == "constant":
+                gamma0 = config.gamma0_value
+            elif x_prev is None:
+                gamma0 = 1.0
+            else:
+                # the quotient <s, y> / <s, s>, s = d and y = grad - grad_prev
+                sy = float(np.dot(d, grad - grad_prev))
+                gamma0 = sy / step_sq if sy > 0.0 and step_sq > 0.0 else gamma
+            gamma0 = min(max(gamma0, config.gamma_min), config.gamma_max)
+            psi_ref = max(psis[-config.m - 1:])
             gamma = gamma0
             for i in range(config.max_inner):
                 cand = problem.nonsmooth.prox(gamma, x - grad / gamma)
@@ -206,11 +187,10 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             records.append(IterateRecord(
                 k=k, psi=psi_x, f_val=f_x, phi_val=phi_x, gamma0=gamma0, gamma=gamma,
                 inner_iters=i, step_norm=step_norm, residual=residual, accepted_ref=psi_ref))
-            prev = (d, grad_cand - grad, gamma)
             x_prev, grad_prev = x, grad
             x, grad = cand, grad_cand
             f_x, phi_x, psi_x = f_cand, phi_cand, psi_cand
-            window.append(psi_x)
+            psis.append(psi_x)
             step_small = (step_norm <= config.eps_step
                           and gamma <= config.gamma_max * config.tau)
             k += 1

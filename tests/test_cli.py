@@ -115,6 +115,18 @@ class TestRun:
               "x0": "ones"}, "smooth term 'quadratic' is not finite at x0"),
             pytest.param('{"x0": ' + "[" * 5000 + "]" * 5000 + "}", "config is nested too deeply",
                          id="x0_nested_5000"),
+            # ragged or nested past numpy's 64 dimensions, and a wrong length:
+            # each names the entry at fault
+            pytest.param({"x0": [[0.0], 0.0]}, "x0: expected a 1-D vector, got a ragged",
+                         id="x0_ragged"),
+            pytest.param({"x0": json.loads("[" * 70 + "0.0" + "]" * 70)},
+                         "x0: expected a 1-D vector, got a ragged", id="x0_nested_70"),
+            pytest.param({"x0": [0.0, 0.0, 0.0]}, "x0: dimension mismatch: expected 2, got 3",
+                         id="x0_too_long"),
+            pytest.param({"problem.smooth": {"name": "quadratic",
+                                             "params": {"A": [[1.0, 0.0], [0.0]],
+                                                        "b": [1.0, 0.1]}}},
+                         "smooth oracle 'quadratic': bad parameter 'A': ", id="A_ragged"),
         ],
     )
     def test_bad_config_exits_1_with_one_line_error(self, tmp_path, capsys, config, fragment):
@@ -276,6 +288,29 @@ class TestRun:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("flag", ["--steps-tol", "--product-tol"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_tolerance_not_finite_and_nonnegative_exits_1(self, tmp_path, capsys, flag,
+                                                           value):
+        # NaN and negative tolerances used to FAIL a clean trace, and inf to
+        # pass any trace
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        capsys.readouterr()
+        code = run_cli(["check", str(trace), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {flag} must be finite and >= 0, got {float(value)}\n"
+
+    @pytest.mark.parametrize("flag", ["--steps-tol", "--product-tol"])
+    def test_zero_tolerance_is_used(self, tmp_path, capsys, flag):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        capsys.readouterr()
+        code = run_cli(["check", str(trace), flag, "0"])
+        assert code in (0, 4)
+        assert "(tol=0)" in capsys.readouterr().out
+
     def test_clean_trace_exits_0(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0

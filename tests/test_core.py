@@ -36,7 +36,7 @@ PUBLIC_NAMES = [
     "SmoothOracle", "SolveReport", "SolverConfig", "Trace", "TraceFormatError", "Violation",
     "as_vector", "brute_force_prox",
     "check_acceptance", "check_envelope", "check_gamma_step_product", "check_level_set",
-    "check_vanishing_steps", "fd_gradient_check", "gamma0_select", "gamma_bound_report",
+    "check_vanishing_steps", "fd_gradient_check", "gamma_bound_report",
     "make_box", "make_l0", "make_l1", "make_logistic", "make_lp_half", "make_problem",
     "make_quadratic", "make_quartic", "make_sphere", "make_zero",
     "read_trace_csv", "solve",
@@ -71,3 +71,30 @@ def test_package_names_are_in_their_module_all():
     missing = [f"{module}.{name}" for module, name in imported
                if name not in importlib.import_module(f"proxgrad.{module}").__all__]
     assert missing == []
+
+
+# exported for use outside the package: the independent verification oracles,
+# and the return types of checkers whose callers read only their fields
+NO_PACKAGE_CALLER = {"brute_force_prox", "fd_gradient_check", "Violation", "GammaBoundReport"}
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_export_has_a_caller_in_another_module():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(proxgrad.__file__).parent.glob("*.py")}
+    defined_in = {alias.name: node.module for node in trees.pop("__init__").body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used_by = {module: set(_referenced_names(tree)) for module, tree in trees.items()}
+    uncalled = [name for name in PUBLIC_NAMES
+                if not any(name in used for module, used in used_by.items()
+                           if module != defined_in[name])]
+    assert uncalled == sorted(NO_PACKAGE_CALLER)

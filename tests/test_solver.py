@@ -11,7 +11,7 @@ from proxgrad.core import ProxOracle, SmoothOracle, make_problem
 from proxgrad.diagnostics import check_acceptance, check_envelope, check_level_set
 from proxgrad.prox_oracles import brute_force_prox, make_box, make_l0, make_l1, make_zero
 from proxgrad.smooth_oracles import make_quadratic, make_quartic
-from proxgrad.solver import SolverConfig, gamma0_select, solve
+from proxgrad.solver import SolverConfig, solve
 
 from conftest import PROX, load_shipped, seeded_problem, solve_quiet
 from reference_monotone import reference_monotone_solve
@@ -146,34 +146,56 @@ class TestAcceptanceReference:
 
 
 class TestGamma0Select:
+    """The stepsize guess, read from the trace's gamma0 column."""
+
+    @staticmethod
+    def gamma0s(problem, x0, **config):
+        return [r.gamma0 for r in solve(problem, SolverConfig(**config), x0).trace.records]
+
     def test_constant_in_range(self):
-        config = SolverConfig(gamma0_strategy="constant", gamma0_value=1.0)
-        assert gamma0_select(config, None) == 1.0
+        _, row = one_step(make_problem(half_x_squared(), make_zero(), 1), [1.0], 1.0)
+        assert row.gamma0 == 1.0
 
     def test_constant_clamped(self):
-        config = SolverConfig(gamma0_strategy="constant", gamma0_value=1e-12)
-        assert gamma0_select(config, None) == config.gamma_min
-
-    def test_bb_rayleigh_quotient_of_identity(self):
-        config = SolverConfig()
-        s = np.array([0.3, -0.7])
-        prev = (s, s.copy(), 4.0)
-        assert gamma0_select(config, prev) == 1.0
-
-    def test_bb_safeguard_on_negative_curvature(self):
-        config = SolverConfig()
-        prev = (np.array([1.0]), np.array([-0.3]), 2.5)
-        out = gamma0_select(config, prev)
-        assert out == 2.5
-        assert out > 0
-
-    def test_bb_zero_step_falls_back(self):
-        config = SolverConfig()
-        prev = (np.zeros(2), np.zeros(2), 0.5)
-        assert gamma0_select(config, prev) == 0.5
+        _, row = one_step(make_problem(half_x_squared(), make_zero(), 1), [1.0], 1e-12)
+        assert row.gamma0 == SolverConfig().gamma_min
 
     def test_first_iteration_default(self):
-        assert gamma0_select(SolverConfig(), None) == 1.0
+        problem = make_problem(half_x_squared(), make_zero(), 1)
+        assert self.gamma0s(problem, [1.0], max_outer=1) == [1.0]
+
+    def test_first_iteration_clamps_to_gamma_min(self):
+        problem = make_problem(half_x_squared(), make_zero(), 1)
+        assert self.gamma0s(problem, [1.0], max_outer=1, gamma_min=4.0) == [4.0]
+
+    def test_bb_rayleigh_quotient_of_scaled_identity(self):
+        # f = 0.5 ||x / 2||^2 has Hessian I / 4, so <s, y> / <s, s> is 0.25
+        # exactly.  On 0.5 ||x||^2 itself the quotient is 1, but the first
+        # step, at gamma0 = 1, lands on a point whose residual is exactly 0,
+        # so there is no second row to read it from
+        problem = make_problem(make_quadratic(0.5 * np.eye(2), np.zeros(2)), make_zero(), 2)
+        assert self.gamma0s(problem, [0.3, -0.7], max_outer=2) == [1.0, 0.25]
+
+    def test_bb_zero_step_falls_back(self):
+        # from x0 = 0 the trials at gamma 1 and 2 land where f = 1 and are
+        # rejected; gamma 4 lands on x1, past gamma_max * tau, so the step-norm
+        # exit stays off although the step, 2.5e-164, squares to 0, while
+        # <s, y> = 2.5e-164 * 1e-150 stays positive.  The quotient would
+        # divide by zero: the guess falls back to the accepted gamma, clamped
+        g0, g1 = 1e-163, 1e-163 - 1e-150
+        x1 = -g0 / 4.0
+
+        def feval(x):
+            return 0.0 if x[0] == 0.0 else -1.0 if x[0] == x1 else -2.0 if x[0] > 0.0 else 1.0
+
+        def fgrad(x):
+            return np.array([g0 if x[0] == 0.0 else g1 if x[0] == x1 else 1.0])
+
+        problem = make_problem(SmoothOracle("underflow", feval, fgrad), make_zero(), 1)
+        config = SolverConfig(m=0, max_outer=2, gamma_max=1.0, tau_abs=1e-300)
+        first, second = solve(problem, config, [0.0]).trace.records
+        assert (first.gamma, first.step_norm) == (4.0, 0.0)
+        assert second.gamma0 == config.gamma_max
 
     def test_fallback_after_backtracking_takes_the_accepted_gamma(self):
         # f = 10 (x^4/4 - x^2) from x0 = 0.1: the first trial (gamma 1)
