@@ -176,6 +176,18 @@ class TestGamma0Select:
         problem = make_problem(make_quadratic(0.5 * np.eye(2), np.zeros(2)), make_zero(), 2)
         assert self.gamma0s(problem, [0.3, -0.7], max_outer=2) == [1.0, 0.25]
 
+    def test_bb_safeguard_on_negative_curvature(self):
+        # f = -0.5 x^2 from x0 = 1: the first trial (gamma 1) lands on x1 = 2
+        # and is accepted, and <s, y> = -1 < 0.  The quotient would be -1;
+        # the guess falls back to the accepted gamma, not to gamma_min
+        concave = SmoothOracle("concave", lambda x: float(-0.5 * x[0] ** 2), lambda x: -x)
+        problem = make_problem(concave, make_zero(), 1)
+        config = SolverConfig(m=0, max_outer=2)
+        first, second = solve(problem, config, [1.0]).trace.records
+        assert (first.gamma0, first.gamma, first.inner_iters) == (1.0, 1.0, 0)
+        assert second.gamma0 == 1.0
+        assert second.gamma0 > config.gamma_min
+
     def test_bb_zero_step_falls_back(self):
         # from x0 = 0 the trials at gamma 1 and 2 land where f = 1 and are
         # rejected; gamma 4 lands on x1, past gamma_max * tau, so the step-norm
