@@ -112,19 +112,19 @@ def _section(value, where: str) -> dict:
     return value
 
 
-# name -> (constructor, parameters, sized parameter), read by `_build_oracle`
+# name -> (constructor, parameters, array parameters), read by `_build_oracle`
 _SMOOTH_REGISTRY = {
-    "quadratic": (make_quadratic, ("A", "b"), "A"),
-    "quartic": (make_quartic, ("dimension",), None),
-    "logistic": (make_logistic, ("A", "labels"), "A"),
+    "quadratic": (make_quadratic, ("A", "b"), ("A",)),
+    "quartic": (make_quartic, ("dimension",), ()),
+    "logistic": (make_logistic, ("A", "labels"), ("A", "labels")),
 }
 _PROX_REGISTRY = {
-    "zero": (make_zero, (), None),
-    "l1": (make_l1, ("lam",), None),
-    "l0": (make_l0, ("lam",), None),
-    "lp_half": (make_lp_half, ("lam",), None),
-    "box": (make_box, ("lo", "hi"), "lo"),
-    "sphere": (make_sphere, ("radius",), None),
+    "zero": (make_zero, (), ()),
+    "l1": (make_l1, ("lam",), ()),
+    "l0": (make_l0, ("lam",), ()),
+    "lp_half": (make_lp_half, ("lam",), ()),
+    "box": (make_box, ("lo", "hi"), ("lo", "hi")),
+    "sphere": (make_sphere, ("radius",), ()),
 }
 
 
@@ -145,11 +145,11 @@ def _numbers(value, where: str):
 def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
     """Construct `registry[name]` from config-file `params`: its constructor
     takes its parameters in order, one named ``dimension`` being the problem
-    dimension, and its sized parameter's last axis must have that length."""
+    dimension, and its first array parameter's last axis has that length."""
     if not isinstance(name, str) or name not in registry:
         known = ", ".join(sorted(registry))
         raise ValueError(f"unknown {kind} oracle {name!r} (known: {known})")
-    make, names, sized = registry[name]
+    make, names, arrays = registry[name]
     if not isinstance(params, dict):
         raise ValueError(f"{kind} oracle {name!r}: params must be an object")
     wanted = [p for p in names if p != "dimension"]
@@ -162,18 +162,18 @@ def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
     for p in wanted:
         _numbers(params[p], f"{kind} oracle {name!r} parameter {p!r}")
     args = {**params, "dimension": dimension}
-    if sized is not None:
+    for p in arrays:
         try:
-            args[sized] = np.asarray(args[sized], dtype=np.float64)
+            args[p] = np.asarray(args[p], dtype=np.float64)
         except (TypeError, OverflowError, ValueError) as exc:
-            raise ValueError(f"{kind} oracle {name!r}: bad parameter {sized!r}: {exc}") from None
+            raise ValueError(f"{kind} oracle {name!r}: bad parameter {p!r}: {exc}") from None
     try:
         oracle = make(*(args[p] for p in names))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{kind} oracle {name!r}: bad parameter: {exc}") from None
-    if sized is not None and args[sized].shape[-1] != dimension:
-        raise ValueError(f"{kind} oracle {name!r}: {sized!r} has dimension "
-                         f"{args[sized].shape[-1]} but problem dimension is {dimension}")
+    if arrays and args[arrays[0]].shape[-1] != dimension:
+        raise ValueError(f"{kind} oracle {name!r}: {arrays[0]!r} has dimension "
+                         f"{args[arrays[0]].shape[-1]} but problem dimension is {dimension}")
     return oracle
 
 

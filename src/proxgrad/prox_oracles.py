@@ -14,6 +14,7 @@ oracle by its ``name`` (``zero``, ``l1``, ``l0``, ``lp_half``, ``box``,
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -195,28 +196,20 @@ def make_sphere(radius: float) -> ProxOracle:
     return ProxOracle("sphere", peval, prox)
 
 
+@functools.lru_cache(maxsize=8)
 def _brute_force_grid(lo: float, hi: float, step: float) -> Vector:
     """Read-only grid {lo, lo+step, ..., hi}, memoized across calls.
 
     A grid point that should be exactly zero is snapped to 0.0 so that
     penalties distinguishing zero from nonzero are graded fairly.
     """
-    key = (lo, hi, step)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        grid = lo + step * np.arange(n)
-        zero_idx = int(np.argmin(np.abs(grid)))
-        if abs(grid[zero_idx]) < 1e-9 * step:
-            grid[zero_idx] = 0.0
-        grid.flags.writeable = False
-        if len(_GRID_CACHE) > 8:
-            _GRID_CACHE.clear()
-        _GRID_CACHE[key] = grid
+    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    grid = lo + step * np.arange(n)
+    zero_idx = int(np.argmin(np.abs(grid)))
+    if abs(grid[zero_idx]) < 1e-9 * step:
+        grid[zero_idx] = 0.0
+    grid.flags.writeable = False
     return grid
-
-
-_GRID_CACHE: dict = {}
 
 
 def brute_force_prox(

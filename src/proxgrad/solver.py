@@ -18,8 +18,9 @@ stationarity residual
 
     ``|| gamma_{k-1} (x^{k-1} - x^k) + grad f(x^k) - grad f(x^{k-1}) ||``
 
-checked before any work at each iteration, with a step-norm fallback as a
-secondary exit.  These parameters are the fields of
+computed once per trial, where it decides the inner early exit, and carried
+from the accepted trial as the test that opens the next iteration, with a
+step-norm fallback as a secondary exit.  These parameters are the fields of
 `proxgrad.core.SolverConfig`, which every trace carries.  A run is strictly sequential, holds no global mutable
 state, and is deterministic given (problem, config, x0).  Problems are
 frozen dataclasses, and each smooth oracle's one-entry memo returns on a hit
@@ -56,7 +57,8 @@ class SolveReport:
     `iterations` counts accepted outer steps (== number of trace rows; for
     ``inner_loop_cap`` it is the iteration index k at which the cap fired).
     `early_exit_ks` lists iterations whose step was accepted through the
-    inner stationarity test instead of sufficient decrease.
+    inner stationarity test instead of sufficient decrease: that residual is
+    the one the run stops on, so only the last row can be an early exit.
     """
 
     x_final: Vector
@@ -75,12 +77,13 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     the model minimizer ``prox(gamma, x_k - grad f(x_k) / gamma)``, and gamma
     grows by factors of tau until a trial passes either the sufficient-decrease
     test against the window maximum or, failing that, the inner stationarity
-    test ``||grad f(x) - grad f(x_k) + gamma (x_k - x)|| <= tau_abs``, which
+    test ``||gamma (x_k - x) + grad f(x) - grad f(x_k)|| <= tau_abs``, which
     marks the candidate as approximately stationary already (listed in
-    `early_exit_ks`).  Each trial evaluates f, phi and grad f once at the
-    candidate; one whose psi or gradient is not finite passes neither test.
-    After `config.max_inner` unaccepted trials the run ends with status
-    ``inner_loop_cap``.
+    `early_exit_ks`).  The accepted trial's residual is carried as the next
+    iteration's termination value.  Each trial evaluates f, phi and grad f
+    once at the candidate; one whose psi or gradient is not finite passes
+    neither test.  After `config.max_inner` unaccepted trials the run ends
+    with status ``inner_loop_cap``.
 
     The starting point must lie in the domain of the nonsmooth term and the
     smooth term must be finite there; otherwise a ValueError names the term
@@ -90,7 +93,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     """
     x = x0 = as_vector(x0, problem.dimension)
     # one errstate, entered once per solve: an overflow at x0 or at a trial
-    # point (the tests below square the step and the gradient, so a huge
+    # point (the tests below square the step and the residual, so a huge
     # finite one overflows) is met by the finiteness checks, not printed as
     # a numpy warning too
     with np.errstate(all="ignore"):
@@ -118,18 +121,13 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         psis = [psi_x]
         records: list[IterateRecord] = []
         early_ks: list[int] = []
-        # the previous iterate and its gradient, None before the first step;
-        # gamma, d = x - x_prev and step_sq = <d, d> are the accepted step's
-        x_prev = grad_prev = None
+        # after the first step, gamma, the step d, step_sq = <d, d>,
+        # grad_prev and residual are the accepted step's
+        residual = math.inf
         step_small = False
         k = 0
 
         while True:
-            if x_prev is None:
-                residual = math.inf
-            else:
-                r = gamma * (x_prev - x) + grad - grad_prev
-                residual = math.sqrt(float(np.dot(r, r)))
             if residual <= config.tau_abs:
                 status = STATUS_CONVERGED_RESIDUAL
                 break
@@ -144,7 +142,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
 
             if config.gamma0_strategy == "constant":
                 gamma0 = config.gamma0_value
-            elif x_prev is None:
+            elif k == 0:
                 gamma0 = 1.0
             else:
                 # the quotient <s, y> / <s, s>, s = d and y = grad - grad_prev
@@ -165,16 +163,16 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
                 phi_cand = float(problem.nonsmooth.eval(cand))
                 psi_cand = f_cand + phi_cand
                 grad_cand = problem.smooth.grad(cand)
+                r = gamma * (x - cand) + grad_cand - grad
+                res_cand = math.sqrt(float(np.dot(r, r)))
                 # a trial with a non-finite psi or gradient is rejected, whatever
                 # the comparisons below would make of its NaN or inf; a finite
-                # <g, g> certifies a finite gradient, as step_sq does cand
+                # residual certifies a finite gradient, as step_sq does cand
                 if math.isfinite(psi_cand) and (
-                        math.isfinite(float(np.dot(grad_cand, grad_cand)))
-                        or np.isfinite(grad_cand).all()):
+                        math.isfinite(res_cand) or np.isfinite(grad_cand).all()):
                     if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
                         break
-                    inner_res = grad_cand - grad + gamma * (x - cand)
-                    if math.sqrt(float(np.dot(inner_res, inner_res))) <= config.tau_abs:
+                    if res_cand <= config.tau_abs:
                         early_ks.append(k)
                         break
                 gamma = gamma * config.tau
@@ -187,7 +185,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             records.append(IterateRecord(
                 k=k, psi=psi_x, f_val=f_x, phi_val=phi_x, gamma0=gamma0, gamma=gamma,
                 inner_iters=i, step_norm=step_norm, residual=residual, accepted_ref=psi_ref))
-            x_prev, grad_prev = x, grad
+            grad_prev, residual = grad, res_cand
             x, grad = cand, grad_cand
             f_x, phi_x, psi_x = f_cand, phi_cand, psi_cand
             psis.append(psi_x)

@@ -16,9 +16,7 @@ PROX = ["zero", "l1", "l0", "lp_half", "box", "sphere"]
 
 def load_shipped(name):
     """Problem/config/x0 dict for a shipped example config."""
-    path = _resolve_config_path(name)
-    assert path is not None, f"shipped config {name} not found"
-    return load_run_config(path)
+    return load_run_config(_resolve_config_path(name))
 
 
 def solve_quiet(problem, config, x0):

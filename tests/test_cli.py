@@ -29,9 +29,7 @@ def run_cli(args, monkeypatch=None, cwd=None):
 
 
 def shipped_path(name) -> Path:
-    p = _resolve_config_path(name)
-    assert p is not None
-    return p
+    return _resolve_config_path(name)
 
 
 def write_config(tmp_path, name="cfg.json", base="lasso_small", **overrides) -> Path:
@@ -127,6 +125,15 @@ class TestRun:
                                              "params": {"A": [[1.0, 0.0], [0.0]],
                                                         "b": [1.0, 0.1]}}},
                          "smooth oracle 'quadratic': bad parameter 'A': ", id="A_ragged"),
+            pytest.param({"problem.nonsmooth": {"name": "box",
+                                                "params": {"lo": [-1.0, -1.0],
+                                                           "hi": [[0.5], 0.5]}}},
+                         "prox oracle 'box': bad parameter 'hi': ", id="hi_ragged"),
+            pytest.param({"problem.smooth": {"name": "logistic",
+                                             "params": {"A": [[1.0, 0.0], [0.0, 1.0]],
+                                                        "labels": [[1.0], -1.0]}}},
+                         "smooth oracle 'logistic': bad parameter 'labels': ",
+                         id="labels_ragged"),
         ],
     )
     def test_bad_config_exits_1_with_one_line_error(self, tmp_path, capsys, config, fragment):

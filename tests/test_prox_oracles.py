@@ -308,6 +308,19 @@ class TestBruteForce:
         concave = lambda x: -(x * x)
         assert brute_force_prox(concave, 1.0, 0.0, lo=-1.0, hi=1.0, step=0.25) == -1.0
 
+    def test_grid_is_shared_read_only_and_snaps_zero(self):
+        # the grid -0.3 + 0.1 k misses 0 by 5.6e-17 unless the point is
+        # snapped, and the l0 penalty tells the two apart
+        seen = []
+
+        def l0(x):
+            seen.append(x)
+            return (x != 0.0).astype(np.float64)
+
+        for _ in range(2):
+            assert brute_force_prox(l0, 1.0, 0.0, lo=-0.3, hi=0.3, step=0.1) == 0.0
+        assert seen[0] is seen[1] and not seen[0].flags.writeable
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             brute_force_prox(lambda x: 0.0 * x, 1.0, 0.0, lo=1.0, hi=0.0, step=0.1)

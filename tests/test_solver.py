@@ -375,6 +375,24 @@ class TestNonFiniteTrial:
         assert [(r.gamma, r.inner_iters) for r in engine.trace.records] == [(1.0, 0)]
         assert engine.x_final.tolist() == ref.x_final.tolist() == [-1.0]
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_finite_gradient_with_overflowing_residual_is_a_trial(self, m):
+        # f(x) = 1e308 |x + 0.5| on [-1, 1]: from x0 = 1 the first trial, at
+        # -1, passes the decrease test, and the gradient flips from 1e308 to
+        # -1e308, so the residual overflows while both gradients are finite
+        kink = SmoothOracle("kink", lambda x: 1e308 * abs(float(x[0]) + 0.5),
+                            lambda x: np.array([math.copysign(1e308, x[0] + 0.5)]))
+        problem = make_problem(kink, make_box([-1.0], [1.0]), 1)
+        config = SolverConfig(m=m, max_outer=1)
+        with np.errstate(over="ignore"):
+            engine = solve_quiet(problem, config, [1.0])
+            ref = reference_solve(problem, config, [1.0])
+        assert engine.status == ref.status == "max_outer_reached"
+        assert engine.trace.records == ref.trace.records
+        assert [(r.gamma, r.inner_iters) for r in engine.trace.records] == [(1.0, 0)]
+        assert engine.x_final.tolist() == ref.x_final.tolist() == [-1.0]
+        assert engine.final_residual == ref.final_residual == math.inf
+
 
 class TestOuterResidual:
     """The residual the run stops on, after short solves."""
@@ -584,6 +602,10 @@ def test_engine_equals_reference_on_seeded_problems(smooth_name, prox_name, m, s
     assert check_acceptance(engine.trace) == []
     assert check_envelope(engine.trace, m)
     assert check_level_set(engine.trace)
+    # the inner early-exit residual is the one the run stops on
+    assert engine.early_exit_ks in ((), (engine.iterations - 1,))
+    if engine.early_exit_ks:
+        assert engine.status == "converged_residual"
     ref = reference_solve(problem, config, x0)
     assert (engine.status, engine.early_exit_ks) == (ref.status, ref.early_exit_ks)
     assert ([repr(astuple(r)) for r in engine.trace.records]
