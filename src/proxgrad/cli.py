@@ -115,7 +115,7 @@ def _section(value, where: str) -> dict:
 # name -> (constructor, parameters, array parameters), read by `_build_oracle`
 _SMOOTH_REGISTRY = {
     "quadratic": (make_quadratic, ("A", "b"), ("A",)),
-    "quartic": (make_quartic, ("dimension",), ()),
+    "quartic": (make_quartic, (), ()),
     "logistic": (make_logistic, ("A", "labels"), ("A", "labels")),
 }
 _PROX_REGISTRY = {
@@ -144,24 +144,23 @@ def _numbers(value, where: str):
 
 def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
     """Construct `registry[name]` from config-file `params`: its constructor
-    takes its parameters in order, one named ``dimension`` being the problem
-    dimension, and its first array parameter's last axis has that length."""
+    takes its parameters in order, and its first array parameter's last axis
+    has the problem's `dimension`."""
     if not isinstance(name, str) or name not in registry:
         known = ", ".join(sorted(registry))
         raise ValueError(f"unknown {kind} oracle {name!r} (known: {known})")
     make, names, arrays = registry[name]
     if not isinstance(params, dict):
         raise ValueError(f"{kind} oracle {name!r}: params must be an object")
-    wanted = [p for p in names if p != "dimension"]
-    wrong = [f"missing {p!r}" for p in wanted if p not in params]
-    wrong += [f"unknown {p!r}" for p in sorted(set(params) - set(wanted))]
+    wrong = [f"missing {p!r}" for p in names if p not in params]
+    wrong += [f"unknown {p!r}" for p in sorted(set(params) - set(names))]
     if wrong:
-        expected = ", ".join(wanted) or "none"
+        expected = ", ".join(names) or "none"
         raise ValueError(f"{kind} oracle {name!r}: {', '.join(wrong)} parameter "
                          f"(expected: {expected})")
-    for p in wanted:
+    for p in names:
         _numbers(params[p], f"{kind} oracle {name!r} parameter {p!r}")
-    args = {**params, "dimension": dimension}
+    args = dict(params)
     for p in arrays:
         try:
             args[p] = np.asarray(args[p], dtype=np.float64)
@@ -325,23 +324,19 @@ def cmd_check(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_run_config(_resolve_config_path(args.config))
-    for m in args.m:
-        if m < 0:
-            raise ValueError(f"m must be nonnegative, got {m}")
+    # every window is validated by SolverConfig before the first solve
+    configs = [replace(cfg["config"], m=m) for m in args.m]
 
     rows = []
     all_converged = True
     out_base = cfg["output"]
-    for m in args.m:
-        trace_path = out_base.with_name(f"{out_base.stem}_m{m}{out_base.suffix}")
-        report = _run_one(cfg["problem"], replace(cfg["config"], m=m), cfg["x0"], trace_path)
+    for config in configs:
+        trace_path = out_base.with_name(f"{out_base.stem}_m{config.m}{out_base.suffix}")
+        report = _run_one(cfg["problem"], config, cfg["x0"], trace_path)
         total_inner = sum(r.inner_iters + 1 for r in report.trace.records)
-        rows.append(
-            f"{m},{report.status},{report.iterations},{total_inner},{report.psi_final:.17g}"
-        )
-        all_converged = all_converged and report.status in (
-            STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP,
-        )
+        rows.append(f"{config.m},{report.status},{report.iterations},{total_inner},"
+                    f"{report.psi_final:.17g}")
+        all_converged = all_converged and _STATUS_EXIT[report.status] == _EXIT_OK
     lines = [COMPARE_HEADER] + rows
     text = "\n".join(lines) + "\n"
     if args.output:

@@ -94,14 +94,12 @@ def make_quadratic(A_rows, b) -> SmoothOracle:
     return SmoothOracle("quadratic", feval, fgrad)
 
 
-def make_quartic(dimension: int) -> SmoothOracle:
+def make_quartic() -> SmoothOracle:
     """Separable quartic f(x) = 0.25 * sum(x_i^4), grad (x_1^3, ..., x_n^3).
 
-    The gradient is locally Lipschitz on every bounded set but has no global
-    Lipschitz constant.
+    It works at any dimension.  The gradient is locally Lipschitz on every
+    bounded set but has no global Lipschitz constant.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
 
     def feval(x: Vector) -> float:
         return 0.25 * float((x**4).sum())

@@ -54,20 +54,22 @@ STATUS_INNER_CAP = "inner_loop_cap"
 class SolveReport:
     """Terminal point, exit status, final residual, and the full trace.
 
-    `iterations` counts accepted outer steps (== number of trace rows; for
-    ``inner_loop_cap`` it is the iteration index k at which the cap fired).
+    `iterations` counts accepted outer steps, which are the trace rows.
     `early_exit_ks` lists iterations whose step was accepted through the
     inner stationarity test instead of sufficient decrease: that residual is
-    the one the run stops on, so only the last row can be an early exit.
+    the one the run stops on, so it is ``()`` or the last row's k.
     """
 
     x_final: Vector
     status: str
     final_residual: float
-    iterations: int
     psi_final: float
     trace: Trace
     early_exit_ks: tuple[int, ...] = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace.records)
 
 
 def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
@@ -104,7 +106,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             raise ValueError("x0 not in the domain of the nonsmooth term: phi(x0) is not finite")
         if not math.isfinite(f_x):
             raise ValueError(f"smooth term {problem.smooth.name!r} is not finite at x0: "
-                             f"f(x0) = {f_x}")
+                             f"f(x0) = {f_x} (x0 or the term's data may be too large "
+                             "or not finite)")
         if config.m > 0 and not problem.nonsmooth.continuous_on_domain:
             warnings.warn(
                 f"nonmonotone window m={config.m} with a nonsmooth term that is not "
@@ -195,5 +198,5 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
 
     trace = Trace(records=tuple(records), config_echo=config, problem_name=problem.name,
                   x0_hash=hash_x0(x0))
-    return SolveReport(x_final=x, status=status, final_residual=residual, iterations=k,
-                       psi_final=psi_x, trace=trace, early_exit_ks=tuple(early_ks))
+    return SolveReport(x_final=x, status=status, final_residual=residual, psi_final=psi_x,
+                       trace=trace, early_exit_ks=tuple(early_ks))

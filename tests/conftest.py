@@ -34,7 +34,7 @@ def seeded_problem(smooth_name, prox_name, seed, dim=3):
     elif smooth_name == "logistic":
         smooth = make_logistic(rng.normal(size=(6, dim)), rng.choice([-1.0, 1.0], size=6))
     elif smooth_name == "quartic":
-        smooth = make_quartic(dim)
+        smooth = make_quartic()
     else:
         # nonconvex, so <s, y> <= 0 occurs and the spectral guess falls back
         # to the previous accepted gamma
@@ -56,6 +56,14 @@ def seeded_problem(smooth_name, prox_name, seed, dim=3):
         prox = make_sphere(1.0)
         x0 = np.eye(dim)[0]
     return make_problem(smooth, prox, dim), x0
+
+
+def seeded_lipschitz(smooth_name, seed, dim=3):
+    """The gradient's Lipschitz constant for `seeded_problem`'s quadratic,
+    ||A||_2^2, or logistic, ||A||_2^2 / 4: A is that problem's first draw."""
+    rows = {"quadratic": 5, "logistic": 6}[smooth_name]
+    A = np.random.default_rng(seed).normal(size=(rows, dim))
+    return np.linalg.norm(A, 2) ** 2 / (1.0 if smooth_name == "quadratic" else 4.0)
 
 
 def synth_trace(psi, step_norm=None, gamma=None, inner_iters=None, config=None):

@@ -115,4 +115,4 @@ def reference_monotone_solve(problem, config, x0) -> SolveReport:
                   problem_name=problem.name,
                   x0_hash=hash_x0(np.asarray(x0, dtype=np.float64)))
     return SolveReport(x_final=x, status=status, final_residual=residual,
-                       iterations=k, psi_final=psi_x, trace=trace)
+                       psi_final=psi_x, trace=trace)

@@ -118,5 +118,4 @@ def reference_nonmonotone_solve(problem, config, x0) -> SolveReport:
                   problem_name=problem.name,
                   x0_hash=hash_x0(np.asarray(x0, dtype=np.float64)))
     return SolveReport(x_final=x, status=status, final_residual=residual,
-                       iterations=k, psi_final=psi_x, trace=trace,
-                       early_exit_ks=tuple(early_ks))
+                       psi_final=psi_x, trace=trace, early_exit_ks=tuple(early_ks))

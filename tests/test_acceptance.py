@@ -101,7 +101,7 @@ def test_criterion_02_gradient_fidelity():
     t0 = time.perf_counter()
     oracles = [
         (make_quadratic([[1.0, 0.5], [-0.3, 0.9], [0.2, -1.1]], [0.4, -0.2, 0.7]), 2),
-        (make_quartic(3), 3),
+        (make_quartic(), 3),
         (
             make_logistic(
                 [[1.0, 0.5, -0.2], [-0.7, 1.2, 0.3], [0.4, -0.8, 1.0], [-0.2, 0.3, -1.1]],

@@ -111,6 +111,13 @@ class TestRun:
             ({"problem.smooth": {"name": "quadratic",
                                  "params": {"A": [[1e200, 0.0], [0.0, 1.0]], "b": [1.0, 0.1]}},
               "x0": "ones"}, "smooth term 'quadratic' is not finite at x0"),
+            # a NaN in A makes f(x0) NaN whatever x0 is: the error names the data too
+            pytest.param({"problem.smooth": {"name": "quadratic",
+                                             "params": {"A": [[math.nan, 0.0], [0.0, 1.0]],
+                                                        "b": [1.0, 0.1]}}},
+                         "smooth term 'quadratic' is not finite at x0: f(x0) = nan "
+                         "(x0 or the term's data may be too large or not finite)",
+                         id="A_nan"),
             pytest.param('{"x0": ' + "[" * 5000 + "]" * 5000 + "}", "config is nested too deeply",
                          id="x0_nested_5000"),
             # ragged or nested past numpy's 64 dimensions, and a wrong length:
@@ -466,11 +473,24 @@ class TestCompare:
         assert code == 0
         assert out_csv.read_text() == printed
 
+    @pytest.mark.parametrize("overrides, status", [
+        ({"solver.max_outer": 3}, "max_outer_reached"),
+        ({"solver.max_inner": 1, "solver.gamma0_strategy": "constant",
+          "solver.gamma0_value": 1e-8, "solver.gamma_max": 1e-8}, "inner_loop_cap"),
+    ], ids=["max_outer", "inner_cap"])
+    def test_unconverged_window_exits_2(self, tmp_path, capsys, monkeypatch, overrides,
+                                        status):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **overrides)
+        assert run_cli(["compare", str(cfg), "--m", "0"]) == 2
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["0", status]
+
     def test_negative_m_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli(["compare", "lasso_small", "--m", "0", "5", "-1"]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: m must be nonnegative, got -1\n")
+        assert (captured.out, captured.err) == (
+            "", "error: m must be a nonnegative integer, got -1\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -522,7 +542,8 @@ def test_overflow_at_x0_prints_only_the_error_line(tmp_path):
         "problem.dimension": 1, "x0": "ones"})
     proc = run_module(["run", str(cfg), "--output", str(tmp_path / "t.csv")])
     assert proc.returncode == 1
-    assert proc.stderr == "error: smooth term 'quadratic' is not finite at x0: f(x0) = inf\n"
+    assert proc.stderr == ("error: smooth term 'quadratic' is not finite at x0: f(x0) = inf "
+                           "(x0 or the term's data may be too large or not finite)\n")
 
 
 @pytest.mark.parametrize("overrides, stdout", [

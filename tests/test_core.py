@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
 import types
@@ -49,6 +51,12 @@ def test_public_names_are_pinned():
     names = sorted(n for n in dir(proxgrad) if not n.startswith("_")
                    and not isinstance(getattr(proxgrad, n), types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_derived_values_are_not_inputs():
+    # the row count is read from the trace, and the quartic fits any dimension
+    assert "iterations" not in {f.name for f in dataclasses.fields(proxgrad.SolveReport)}
+    assert list(inspect.signature(proxgrad.make_quartic).parameters) == []
 
 
 MODULES = [m.name for m in pkgutil.iter_modules(proxgrad.__path__) if m.name != "__main__"]

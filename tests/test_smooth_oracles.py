@@ -48,15 +48,15 @@ class TestQuadratic:
 
 class TestQuartic:
     def test_zero_gradient(self):
-        f = make_quartic(2)
+        f = make_quartic()
         assert np.array_equal(f.grad(np.array([0.0, 0.0])), [0.0, 0.0])
 
     def test_symmetry(self):
-        f = make_quartic(2)
+        f = make_quartic()
         assert f.eval(np.array([1.0, -1.0])) == 0.5
 
     def test_cube_gradient(self):
-        f = make_quartic(1)
+        f = make_quartic()
         assert np.array_equal(f.grad(np.array([2.0])), [8.0])
         assert fd_gradient_check(f, [2.0]) <= 1e-6
 
@@ -95,15 +95,15 @@ class TestFdGradientCheck:
         assert fd_gradient_check(f, [1.0, 2.0], 1e-5) <= 1e-7
 
     def test_quartic_truncation_bound(self):
-        f = make_quartic(1)
+        f = make_quartic()
         assert fd_gradient_check(f, [1.5], 1e-5) <= 1e-8
 
     def test_symmetric_stencil_at_critical_point(self):
-        f = make_quartic(2)
+        f = make_quartic()
         assert fd_gradient_check(f, [0.0, 0.0], 1e-5) <= 1e-9
 
     def test_rejects_bad_h(self):
-        f = make_quartic(1)
+        f = make_quartic()
         with pytest.raises(ValueError, match="positive"):
             fd_gradient_check(f, [1.0], 0.0)
 
@@ -111,7 +111,7 @@ class TestFdGradientCheck:
 def shipped_oracles():
     return [
         make_quadratic([[1.0, 0.5], [-0.3, 0.9], [0.2, -1.1]], [0.4, -0.2, 0.7]),
-        make_quartic(3),
+        make_quartic(),
         make_logistic(
             [[1.0, 0.5, -0.2], [-0.7, 1.2, 0.3], [0.4, -0.8, 1.0], [-0.2, 0.3, -1.1]],
             [1.0, -1.0, 1.0, -1.0],

@@ -13,7 +13,7 @@ from proxgrad.prox_oracles import brute_force_prox, make_box, make_l0, make_l1, 
 from proxgrad.smooth_oracles import make_quadratic, make_quartic
 from proxgrad.solver import SolverConfig, solve
 
-from conftest import PROX, load_shipped, seeded_problem, solve_quiet
+from conftest import PROX, load_shipped, seeded_lipschitz, seeded_problem, solve_quiet
 from reference_monotone import reference_monotone_solve
 from reference_nonmonotone import reference_nonmonotone_solve
 
@@ -247,7 +247,7 @@ class TestBacktrack:
         assert np.array_equal(report.x_final, x)
 
     def test_quartic_overshoot_forces_backtracking(self):
-        problem = make_problem(make_quartic(1), make_zero(), 1)
+        problem = make_problem(make_quartic(), make_zero(), 1)
         config = SolverConfig()
         x = np.array([2.0])
         grad = problem.smooth.grad(x)
@@ -418,7 +418,7 @@ class TestOuterResidual:
 
     def test_quartic_arithmetic(self):
         # 2 (1 - 0.5) + 0.5^3 - 1^3
-        problem = make_problem(make_quartic(1), make_zero(), 1)
+        problem = make_problem(make_quartic(), make_zero(), 1)
         report, row = one_step(problem, [1.0], 2.0)
         assert (row.gamma, report.x_final.tolist()) == (2.0, [0.5])
         assert report.final_residual == pytest.approx(0.125, rel=1e-15)
@@ -467,6 +467,7 @@ class TestSolve:
         config = SolverConfig(gamma0_strategy="constant", gamma0_value=1e4, eps_step=1e-3)
         report = solve(problem, config, np.zeros(2))
         assert (report.status, report.iterations) == ("converged_step", 1)
+        assert len(report.trace.records) == 1
         assert report.final_residual == pytest.approx(1.118, abs=1e-3)
         assert check_acceptance(report.trace) == []
         ref = reference_nonmonotone_solve(problem, config, np.zeros(2))
@@ -496,7 +497,7 @@ class TestSolve:
         assert all(b <= a for a, b in zip(psi, psi[1:]))
 
     def test_inner_cap_becomes_status(self):
-        problem = make_problem(make_quartic(1), make_zero(), 1)
+        problem = make_problem(make_quartic(), make_zero(), 1)
         config = SolverConfig(gamma_min=1e-8, gamma_max=1e-8, max_inner=1,
                               gamma0_strategy="constant", gamma0_value=1e-8,
                               tau_abs=1e-300)
@@ -509,7 +510,7 @@ class TestSolve:
         config = replace(lasso["config"], max_outer=3)
         report = solve_quiet(lasso["problem"], config, lasso["x0"])
         assert report.status == "max_outer_reached"
-        assert report.iterations == 3
+        assert report.iterations == len(report.trace.records) == 3
 
     def test_warns_on_nonmonotone_discontinuous_phi(self):
         cfg = load_shipped("quartic_l0")
@@ -611,3 +612,33 @@ def test_engine_equals_reference_on_seeded_problems(smooth_name, prox_name, m, s
     assert ([repr(astuple(r)) for r in engine.trace.records]
             == [repr(astuple(r)) for r in ref.trace.records])
     assert engine.x_final.tobytes() == ref.x_final.tobytes()
+
+
+@pytest.mark.parametrize("prox_name", PROX)
+@pytest.mark.parametrize("smooth_name", ["quadratic", "logistic"])
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
+def test_backtracking_stops_by_the_lipschitz_bound(smooth_name, prox_name, seed, dim):
+    # prox minimizes the model exactly, so by the descent lemma a trial at
+    # gamma with gamma (1 - delta) >= L passes sufficient decrease: a row
+    # that backtracked rejected gamma / tau, which must lie below that bound
+    problem, x0 = seeded_problem(smooth_name, prox_name, seed, dim)
+    L = seeded_lipschitz(smooth_name, seed, dim)
+    for m in (0, 3, 10):
+        for strategy in ("constant", "bb_safeguarded"):
+            config = SolverConfig(m=m, gamma0_strategy=strategy, gamma0_value=0.5,
+                                  max_outer=30)
+            report = solve_quiet(problem, config, x0)
+            records = report.trace.records
+            for r in records:
+                if r.inner_iters > 0:
+                    assert (r.gamma / config.tau) * (1 - config.delta) < L * (1 + 1e-12)
+            assert check_acceptance(report.trace) == []
+            assert check_envelope(report.trace, m)
+            assert check_level_set(report.trace)
+            if m == 0:
+                psi = [r.psi for r in records]
+                assert all(b <= a for a, b in zip(psi, psi[1:]))
+            assert report.early_exit_ks in ((), (len(records) - 1,))
+            if report.early_exit_ks:
+                assert report.status == "converged_residual"
