@@ -221,10 +221,12 @@ def load_run_config(path: Path) -> dict:
         raise ValueError(f"bad solver section: {exc}") from exc
 
     x0_raw = raw.get("x0", "zeros")
-    if x0_raw == "zeros":
-        x0 = np.zeros(dimension)
-    elif x0_raw == "ones":
-        x0 = np.ones(dimension)
+    if x0_raw in ("zeros", "ones"):
+        try:
+            x0 = np.zeros(dimension) if x0_raw == "zeros" else np.ones(dimension)
+        except MemoryError:
+            raise ValueError(f"problem dimension {dimension} is too large: "
+                             f"x0 {x0_raw!r} does not fit in memory") from None
     elif isinstance(x0_raw, list):
         x0 = _numbers(x0_raw, "x0")
         try:

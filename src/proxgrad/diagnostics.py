@@ -62,13 +62,14 @@ class TraceFormatError(ValueError):
 class IterateRecord:
     """One accepted outer step.
 
+    A record's index k is its position in `Trace.records`; the CSV ``k``
+    column is written from that position and checked against it on read.
     `psi`, `f_val`, `phi_val` are the objective pieces at the iterate the
     step starts from; `residual` is the outer termination value checked at
     that iterate (inf at k = 0); `accepted_ref` is the window maximum the
     sufficient-decrease test was measured against.
     """
 
-    k: int
     psi: float
     f_val: float
     phi_val: float
@@ -86,13 +87,6 @@ class Trace:
     config_echo: SolverConfig
     problem_name: str
     x0_hash: str
-
-    def __post_init__(self):
-        for i, rec in enumerate(self.records):
-            if rec.k != i:
-                raise TraceFormatError(
-                    f"record indices must be contiguous from 0; position {i} has k={rec.k}"
-                )
 
 
 def hash_x0(x0) -> str:
@@ -122,10 +116,10 @@ def write_trace_csv(trace: Trace, path) -> None:
     }
     lines = [_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     lines.append(TRACE_HEADER)
-    for r in trace.records:
+    for k, r in enumerate(trace.records):
         residual = "" if math.isinf(r.residual) else "%.17g" % r.residual
         lines.append(_ROW_FORMAT % (
-            r.k, r.f_val, r.phi_val, r.psi, r.gamma0, r.gamma, r.inner_iters,
+            k, r.f_val, r.phi_val, r.psi, r.gamma0, r.gamma, r.inner_iters,
             r.step_norm, residual, r.accepted_ref))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -165,10 +159,12 @@ def read_trace_csv(path) -> Trace:
         parts = ln.split(",")
         if len(parts) != 10:
             raise TraceFormatError(f"row has {len(parts)} fields, expected 10: {ln!r}")
+        if parts[0] != str(len(records)):
+            raise TraceFormatError(f"record indices must be contiguous from 0; "
+                                   f"row {len(records)} has k={parts[0]!r}")
         try:
             records.append(
                 IterateRecord(
-                    k=int(parts[0]),
                     f_val=float(parts[1]),
                     phi_val=float(parts[2]),
                     psi=float(parts[3]),

@@ -223,20 +223,18 @@ def brute_force_prox(
     """Grid-search argmin of ``(gamma/2)*(x - v)^2 + phi(x)`` over 1-D x.
 
     Independent verification oracle for the separable prox maps.  `phi_1d`
-    is evaluated on the whole grid at once when it supports arrays (all
-    shipped penalties do); scalar-only callables are handled by a fallback
-    loop.  Ties resolve to the smallest |x|, then the smallest x.
+    is evaluated on the whole grid at once and must map it elementwise, to
+    an array of the grid's shape; otherwise a ValueError is raised.  Ties
+    resolve to the smallest |x|, then the smallest x.
     """
     g = _check_gamma(gamma)
     if not (lo < hi) or step <= 0:
         raise ValueError("need lo < hi and step > 0")
     grid = _brute_force_grid(lo, hi, step)
-    try:
-        phi_vals = np.asarray(phi_1d(grid), dtype=np.float64)
-        if phi_vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        phi_vals = np.array([float(phi_1d(float(x))) for x in grid])
+    phi_vals = np.asarray(phi_1d(grid), dtype=np.float64)
+    if phi_vals.shape != grid.shape:
+        raise ValueError(f"phi_1d must map the grid elementwise: got shape "
+                         f"{phi_vals.shape} for a grid of shape {grid.shape}")
     obj = grid - v
     obj *= obj
     obj *= 0.5 * g

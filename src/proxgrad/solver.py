@@ -55,9 +55,9 @@ class SolveReport:
     """Terminal point, exit status, final residual, and the full trace.
 
     `iterations` counts accepted outer steps, which are the trace rows.
-    `early_exit_ks` lists iterations whose step was accepted through the
-    inner stationarity test instead of sufficient decrease: that residual is
-    the one the run stops on, so it is ``()`` or the last row's k.
+    `early_exit_ks` lists the trace row indices whose step was accepted
+    through the inner stationarity test instead of sufficient decrease: that
+    residual is the one the run stops on, so it is ``()`` or the last row's.
     """
 
     x_final: Vector
@@ -186,7 +186,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
 
             step_norm = math.sqrt(step_sq)
             records.append(IterateRecord(
-                k=k, psi=psi_x, f_val=f_x, phi_val=phi_x, gamma0=gamma0, gamma=gamma,
+                psi=psi_x, f_val=f_x, phi_val=phi_x, gamma0=gamma0, gamma=gamma,
                 inner_iters=i, step_norm=step_norm, residual=residual, accepted_ref=psi_ref))
             grad_prev, residual = grad, res_cand
             x, grad = cand, grad_cand

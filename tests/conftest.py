@@ -74,7 +74,6 @@ def synth_trace(psi, step_norm=None, gamma=None, inner_iters=None, config=None):
     inner_iters = inner_iters if inner_iters is not None else [0] * n
     records = tuple(
         IterateRecord(
-            k=k,
             psi=float(psi[k]),
             f_val=float(psi[k]),
             phi_val=0.0,

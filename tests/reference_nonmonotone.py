@@ -99,7 +99,7 @@ def reference_nonmonotone_solve(problem, config, x0) -> SolveReport:
         early, i, step_sq = accepted
         step_norm = math.sqrt(step_sq)
         records.append(
-            IterateRecord(k=k, psi=psi_x, f_val=f_x, phi_val=phi_x,
+            IterateRecord(psi=psi_x, f_val=f_x, phi_val=phi_x,
                           gamma0=gamma0, gamma=gamma, inner_iters=i,
                           step_norm=step_norm, residual=residual,
                           accepted_ref=psi_ref)

@@ -17,6 +17,7 @@ from proxgrad.cli import _resolve_config_path, main, shipped_config_names
 from conftest import SHIPPED
 
 HUGE = 2**2000  # an int that float() cannot represent
+PROBLEM = {"smooth": {"name": "quartic"}, "nonsmooth": {"name": "zero"}, "dimension": 2}
 WINDOW_WARNING = ("warning: nonmonotone window m={} with a nonsmooth term that is not "
                   "continuous on its domain: the envelope-based convergence guarantees "
                   "do not apply\n")
@@ -141,6 +142,16 @@ class TestRun:
                                                         "labels": [[1.0], -1.0]}}},
                          "smooth oracle 'logistic': bad parameter 'labels': ",
                          id="labels_ragged"),
+            # an x0 of 8e15 bytes: past the address space, so numpy cannot
+            # allocate it whatever the host's memory
+            pytest.param(json.dumps({"problem": {**PROBLEM, "dimension": 10**15}, "x0": "zeros"}),
+                         "problem dimension 1000000000000000 is too large", id="dimension_huge"),
+            pytest.param('{"problem": ', "config is not valid JSON", id="json_invalid"),
+            pytest.param("{}", "config is missing the 'problem' section", id="no_problem"),
+            *[pytest.param(json.dumps({"problem": {k: v for k, v in PROBLEM.items() if k != key}}),
+                           f"problem section is missing {key!r}", id=f"no_{key}")
+              for key in PROBLEM],
+            pytest.param({"solver": {"mu": 1}}, "bad solver section: ", id="solver_unknown_field"),
         ],
     )
     def test_bad_config_exits_1_with_one_line_error(self, tmp_path, capsys, config, fragment):
@@ -380,6 +391,20 @@ class TestCheck:
         assert run_cli(["check", str(trace)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read trace: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [lambda lines: lines[:4] + lines[5:],
+                                      lambda lines: lines[:5] + lines[4:]],
+                             ids=["dropped", "duplicated"])
+    def test_noncontiguous_rows_exit_1(self, tmp_path, capsys, edit):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read trace: record indices must be "
+                                       "contiguous from 0; ") and captured.err.count("\n") == 1
 
     def test_bad_config_echo_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

@@ -54,9 +54,12 @@ def test_public_names_are_pinned():
 
 
 def test_derived_values_are_not_inputs():
-    # the row count is read from the trace, and the quartic fits any dimension
+    # the row count is read from the trace, the quartic fits any dimension,
+    # and a record's index is its position in the trace
     assert "iterations" not in {f.name for f in dataclasses.fields(proxgrad.SolveReport)}
     assert list(inspect.signature(proxgrad.make_quartic).parameters) == []
+    assert "k" not in {f.name for f in dataclasses.fields(proxgrad.IterateRecord)}
+    assert "__post_init__" not in vars(proxgrad.Trace)
 
 
 MODULES = [m.name for m in pkgutil.iter_modules(proxgrad.__path__) if m.name != "__main__"]

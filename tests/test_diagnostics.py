@@ -172,7 +172,7 @@ class TestTraceCsv:
         assert math.isinf(read_trace_csv(path).records[0].residual)
 
     def test_17_digit_floats(self, tmp_path):
-        rec = IterateRecord(k=0, psi=0.1, f_val=0.1, phi_val=0.0, gamma0=1.0,
+        rec = IterateRecord(psi=0.1, f_val=0.1, phi_val=0.0, gamma0=1.0,
                             gamma=1.0, inner_iters=0, step_norm=1 / 3,
                             residual=math.inf, accepted_ref=0.1)
         trace = Trace(records=(rec,), config_echo=SolverConfig(),
@@ -192,7 +192,7 @@ class TestTraceCsv:
 
         values = [-0.0, 5e-324, 1e308, 1 / 3, math.nan, math.inf, -math.inf]
         records = tuple(
-            IterateRecord(k=k, psi=v, f_val=values[k - 1], phi_val=values[k - 2],
+            IterateRecord(psi=v, f_val=values[k - 1], phi_val=values[k - 2],
                           gamma0=values[k - 3], gamma=values[k - 4], inner_iters=k,
                           step_norm=values[k - 5], residual=values[k - 6],
                           accepted_ref=v)
@@ -201,9 +201,9 @@ class TestTraceCsv:
         write_trace_csv(Trace(records=records, config_echo=SolverConfig(), problem_name="p",
                               x0_hash="a" * 16), path)
         want = []
-        for r in records:
+        for k, r in enumerate(records):
             residual = "" if math.isinf(r.residual) else fmt(r.residual)
-            want.append(f"{r.k},{fmt(r.f_val)},{fmt(r.phi_val)},{fmt(r.psi)},"
+            want.append(f"{k},{fmt(r.f_val)},{fmt(r.phi_val)},{fmt(r.psi)},"
                         f"{fmt(r.gamma0)},{fmt(r.gamma)},{r.inner_iters},"
                         f"{fmt(r.step_norm)},{residual},{fmt(r.accepted_ref)}")
         rows = path.read_text().splitlines()[2:]
@@ -225,6 +225,16 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("not,a,trace\n1,2,3\n")
         with pytest.raises(TraceFormatError):
+            read_trace_csv(path)
+
+    def test_rejects_wrong_header(self, tmp_path):
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("gamma0,gamma", "gamma,gamma0")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match="missing or wrong header"):
             read_trace_csv(path)
 
     @pytest.mark.parametrize("edit, fragment", [
@@ -265,12 +275,18 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match=fragment):
             read_trace_csv(path)
 
-    def test_rejects_noncontiguous_indices(self):
-        rec = IterateRecord(k=3, psi=0.0, f_val=0.0, phi_val=0.0, gamma0=1.0,
-                            gamma=1.0, inner_iters=0, step_norm=0.0,
-                            residual=math.inf, accepted_ref=0.0)
-        with pytest.raises(TraceFormatError, match="contiguous"):
-            Trace(records=(rec,), config_echo=SolverConfig(), problem_name="p", x0_hash="a" * 16)
+    def test_rejects_noncontiguous_indices(self, tmp_path):
+        # a record's index is its position, so only a file can get one wrong:
+        # a dropped row and a duplicated row both break the k column
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        for edited, fragment in [(lines[:4] + lines[5:], "row 2 has k='3'"),
+                                 (lines[:5] + lines[4:], "row 3 has k='2'")]:
+            path.write_text("\n".join(edited) + "\n")
+            with pytest.raises(TraceFormatError, match="contiguous from 0; " + fragment):
+                read_trace_csv(path)
 
     def test_corrupted_psi_still_parses(self, tmp_path):
         # semantic corruption must load so the checkers can flag it

@@ -241,6 +241,8 @@ class TestBox:
             assert b.eval(x) == (0.0 if inside else INF)
         assert b.eval(np.array([math.nan])) == INF
         assert b.eval(np.array([lo])) == b.eval(np.array([hi])) == 0.0
+        # every coordinate must be inside, not just one
+        assert make_box([lo, lo], [hi, hi]).eval(np.array([lo, hi + 1.0])) == INF
 
 
 class TestSphere:
@@ -290,14 +292,11 @@ class TestBruteForce:
         got = brute_force_prox(phi, 1.0, 0.4)
         assert abs(got - 0.0) <= 1e-4
 
-    def test_scalar_only_callable(self):
-        def scalar_abs(x):
-            if isinstance(x, np.ndarray):
-                raise TypeError("scalar input only")
-            return abs(x)
-
-        got = brute_force_prox(scalar_abs, 1.0, 2.0, lo=-3.0, hi=3.0, step=1e-2)
-        assert abs(got - 1.0) <= 1e-2
+    def test_phi_must_map_the_grid_elementwise(self):
+        # a scalar or a length-1 result would broadcast over the grid unnoticed
+        for phi in (lambda x: 0.0, lambda x: np.zeros(1), lambda x: np.zeros(3)):
+            with pytest.raises(ValueError, match="must map the grid elementwise"):
+                brute_force_prox(phi, 1.0, 2.0, lo=-3.0, hi=3.0, step=1e-2)
 
     def test_tie_prefers_smaller_magnitude_then_smaller_value(self):
         # {0, 1} indicator with v = 0.5: both candidates cost exactly 0.125,
