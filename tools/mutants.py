@@ -2,8 +2,7 @@
 
 Run from the repository root:
 
-    python tools/mutants.py          # every entry
-    python tools/mutants.py 3 18     # entries by number, as the report numbers them
+    python tools/mutants.py
 
 Each entry is ``(file, old text, new text, killed by)``.  For each one the
 working tree is copied to a temporary directory, ``old`` is replaced by
@@ -11,13 +10,15 @@ working tree is copied to a temporary directory, ``old`` is replaced by
 when pytest reports a failing test.  ``killed by`` names a test known to
 kill it; the report prints the first failing test next to it.
 
-An ``old`` text that does not occur exactly once in its file, or a pytest
-exit other than pass or fail, is a harness error: a stale entry can never
-count as killed.  All entries are matched before any suite runs.  Exit
-status: 0 when every selected mutant is killed, 1 when one survives, 2 on a
-harness error.  The harness is not part of tier-1: it runs the suite once
-per mutant, up to about 12 s each on a 2-core host (30 entries take about
-2.5 min, since ``-x`` stops at the first failure).
+Before any mutant, tier-1 runs once on an unmutated copy made the same way;
+a failure there is a harness error, since a suite that already fails would
+"kill" every mutant.  An ``old`` text that does not occur exactly once in
+its file, or a pytest exit other than pass or fail, is a harness error too:
+a stale entry can never count as killed.  All entries are matched before
+any suite runs.  Exit status: 0 when every mutant is killed, 1 when one
+survives, 2 on a harness error.  The harness is not part of tier-1: it runs
+the suite once unmutated and once per mutant, up to about 12 s each on a
+2-core host (about 2.5 min in all, since ``-x`` stops at the first failure).
 """
 
 from __future__ import annotations
@@ -124,26 +125,27 @@ _COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 
 
-def check_entries(root: Path, numbers: list[int]) -> list[str]:
-    """Every selected entry's old text occurs exactly once in its file."""
+def check_entries(root: Path) -> list[str]:
+    """Every entry's old text occurs exactly once in its file."""
     errors = []
-    for n in numbers:
-        file, old, _, _ = MUTANTS[n - 1]
+    for n, (file, old, _, _) in enumerate(MUTANTS, 1):
         count = (root / file).read_text(encoding="utf-8").count(old)
         if count != 1:
             errors.append(f"mutant {n}: old text occurs {count} times in {file}: {old!r}")
     return errors
 
 
-def run_mutant(root: Path, n: int) -> tuple[str, str]:
-    """Apply mutant n to a copy of the tree and run tier-1 there; returns
-    (outcome, first failing test)."""
-    file, old, new, _ = MUTANTS[n - 1]
+def run_tier1(root: Path, mutant: tuple[str, str, str, str] | None) -> tuple[str, str]:
+    """Run tier-1 on a copy of the tree, with ``mutant`` applied unless it is
+    None; returns (outcome, first failing test)."""
     with tempfile.TemporaryDirectory(prefix="proxgrad-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=_COPY_IGNORE)
-        target = tree / file
-        target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        if mutant is not None:
+            file, old, new, _ = mutant
+            target = tree / file
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new),
+                              encoding="utf-8")
         pythonpath = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
         try:
             proc = subprocess.run(PYTEST, cwd=tree, env={**os.environ, "PYTHONPATH": pythonpath},
@@ -159,26 +161,22 @@ def run_mutant(root: Path, n: int) -> tuple[str, str]:
     return "error", f"pytest exit {proc.returncode}: {' '.join(tail)}"
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     root = Path(__file__).resolve().parent.parent
-    try:
-        numbers = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
-    except ValueError:
-        print(f"error: mutant numbers must be integers, got {argv}", file=sys.stderr)
-        return 2
-    bad = [n for n in numbers if not 1 <= n <= len(MUTANTS)]
-    if bad:
-        print(f"error: no mutant numbered {bad} (1..{len(MUTANTS)})", file=sys.stderr)
-        return 2
-    errors = check_entries(root, numbers)
+    errors = check_entries(root)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     if errors:
         return 2
+    outcome, detail = run_tier1(root, None)
+    if outcome != "survived":
+        print(f"error: tier-1 does not pass on the unmutated tree: {detail}", file=sys.stderr)
+        return 2
+    print("unmutated tree: tier-1 passes", flush=True)
     outcomes = []
-    for n in numbers:
-        file, old, new, killed_by = MUTANTS[n - 1]
-        outcome, detail = run_mutant(root, n)
+    for n, mutant in enumerate(MUTANTS, 1):
+        file, old, new, killed_by = mutant
+        outcome, detail = run_tier1(root, mutant)
         outcomes.append(outcome)
         print(f"[{n:2d}] {outcome:8} {file}: {old.strip()!r} -> {new.strip()!r}", flush=True)
         print(f"     listed: {killed_by}")
@@ -192,4 +190,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
