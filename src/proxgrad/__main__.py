@@ -1,6 +1,6 @@
 """``python -m proxgrad``: the same command line as the ``proxgrad`` script."""
 
-from .cli import entry_point
+from .cli import main
 
 if __name__ == "__main__":
-    entry_point()
+    raise SystemExit(main())

@@ -60,8 +60,7 @@ from .solver import (
     solve,
 )
 
-__all__ = ["main", "entry_point", "load_run_config", "shipped_config_names",
-           "build_smooth", "build_prox"]
+__all__ = ["main", "load_run_config", "shipped_config_names", "build_smooth", "build_prox"]
 
 log = logging.getLogger("proxgrad")
 
@@ -407,7 +406,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-
-
-def entry_point() -> None:
-    sys.exit(main())

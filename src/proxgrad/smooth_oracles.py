@@ -133,12 +133,9 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
 
     def fgrad(x: Vector) -> Vector:
         z = margins(x)
-        # sigma(-z) = 1/(1+e^z), branch-guarded against exp overflow
-        p = np.where(
-            z >= 0,
-            np.exp(-np.clip(z, 0, None)) / (1.0 + np.exp(-np.clip(z, 0, None))),
-            1.0 / (1.0 + np.exp(np.clip(z, None, 0))),
-        )
+        # sigma(-z) = 1/(1+e^z), from e = exp(-|z|) <= 1, which cannot overflow
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0, e, 1.0) / (1.0 + e)
         return -(A.T @ (y * p))
 
     return SmoothOracle("logistic", feval, fgrad)

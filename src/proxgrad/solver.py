@@ -18,11 +18,11 @@ stationarity residual
 
     ``|| gamma_{k-1} (x^{k-1} - x^k) + grad f(x^k) - grad f(x^{k-1}) ||``
 
-computed once per trial, where it decides the inner early exit, and carried
-from the accepted trial as the test that opens the next iteration, with a
-step-norm fallback as a secondary exit.  These parameters are the fields of
-`proxgrad.core.SolverConfig`, which every trace carries.  A run is strictly sequential, holds no global mutable
-state, and is deterministic given (problem, config, x0).  Problems are
+computed once per trial, where it decides the inner early exit, and tested
+right after the accepted step, with a step-norm fallback as a secondary exit.
+These parameters are the fields of `proxgrad.core.SolverConfig`, which every
+trace carries.  A run is strictly sequential, holds no global mutable state,
+and is deterministic given (problem, config, x0).  Problems are
 frozen dataclasses, and each smooth oracle's one-entry memo returns on a hit
 the bits a recompute would give, so any number of solves may share a problem
 concurrently.
@@ -81,11 +81,13 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     test against the window maximum or, failing that, the inner stationarity
     test ``||gamma (x_k - x) + grad f(x) - grad f(x_k)|| <= tau_abs``, which
     marks the candidate as approximately stationary already (listed in
-    `early_exit_ks`).  The accepted trial's residual is carried as the next
-    iteration's termination value.  Each trial evaluates f, phi and grad f
-    once at the candidate; one whose psi or gradient is not finite passes
-    neither test.  After `config.max_inner` unaccepted trials the run ends
-    with status ``inner_loop_cap``.
+    `early_exit_ks`).  Each trial evaluates f, phi and grad f once at the
+    candidate; one whose psi or gradient is not finite passes neither test.
+    An accepted step ends the run if its residual is at most tau_abs
+    (``converged_residual``) or, failing that, if its step passes the
+    step-norm test (``converged_step``).  After `config.max_inner` unaccepted
+    trials the run ends with ``inner_loop_cap``, and after `config.max_outer`
+    accepted steps with ``max_outer_reached``.
 
     The starting point must lie in the domain of the nonsmooth term and the
     smooth term must be finite there; otherwise a ValueError names the term
@@ -127,22 +129,8 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         # after the first step, gamma, the step d, step_sq = <d, d>,
         # grad_prev and residual are the accepted step's
         residual = math.inf
-        step_small = False
-        k = 0
 
-        while True:
-            if residual <= config.tau_abs:
-                status = STATUS_CONVERGED_RESIDUAL
-                break
-            if step_small:
-                # the fallback exit is secondary: it fires only after the
-                # residual check at the new iterate declined to certify
-                status = STATUS_CONVERGED_STEP
-                break
-            if k >= config.max_outer:
-                status = STATUS_MAX_OUTER
-                break
-
+        for k in range(config.max_outer):
             if config.gamma0_strategy == "constant":
                 gamma0 = config.gamma0_value
             elif k == 0:
@@ -192,9 +180,16 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             x, grad = cand, grad_cand
             f_x, phi_x, psi_x = f_cand, phi_cand, psi_cand
             psis.append(psi_x)
-            step_small = (step_norm <= config.eps_step
-                          and gamma <= config.gamma_max * config.tau)
-            k += 1
+            if residual <= config.tau_abs:
+                status = STATUS_CONVERGED_RESIDUAL
+                break
+            # the fallback exit is secondary: it fires only when the residual
+            # at the new iterate declined to certify
+            if step_norm <= config.eps_step and gamma <= config.gamma_max * config.tau:
+                status = STATUS_CONVERGED_STEP
+                break
+        else:
+            status = STATUS_MAX_OUTER
 
     trace = Trace(records=tuple(records), config_echo=config, problem_name=problem.name,
                   x0_hash=hash_x0(x0))

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import proxgrad
-from proxgrad.core import as_vector
+from proxgrad.core import as_vector, make_problem
+from proxgrad.prox_oracles import make_zero
+from proxgrad.smooth_oracles import make_quartic
 
 
 def test_as_vector_dimension_mismatch():
@@ -30,6 +32,21 @@ def test_as_vector_non_float_coordinate_is_value_error(x):
     with pytest.raises(ValueError, match="not a float") as err:
         as_vector(x)
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("x, fragment", [
+    ([[1.0], [2.0]], r"expected a 1-D vector, got array of shape \(2, 1\)"),
+    ([], "vectors must have dimension >= 1"),
+], ids=["matrix", "empty"])
+def test_as_vector_rejects_a_non_vector(x, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        as_vector(x)
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_problem_dimension_must_be_positive(dimension):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        make_problem(make_quartic(), make_zero(), dimension)
 
 
 PUBLIC_NAMES = [

@@ -136,6 +136,10 @@ class TestCheckGammaStepProduct:
         )
         assert not check_gamma_step_product(trace, 1e-5)
 
+    def test_requires_ten_rows(self):
+        with pytest.raises(ValueError, match="10"):
+            check_gamma_step_product(synth_trace([1.0] * 9), 1e-5)
+
 
 class TestGammaBoundReport:
     def test_shipped_run(self):
@@ -149,6 +153,10 @@ class TestGammaBoundReport:
         trace = synth_trace([float(-k) for k in range(n)], gamma=[1e9] * n,
                             config=SolverConfig(gamma_max=1e6))
         assert gamma_bound_report(trace).trend_flag is True
+
+    def test_empty_trace(self):
+        report = gamma_bound_report(synth_trace([]))
+        assert (report.max_gamma, report.trend_flag) == (0.0, False)
 
 
 class TestTraceCsv:

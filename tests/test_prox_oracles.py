@@ -380,6 +380,13 @@ def test_prox_output_in_domain(oracle):
             assert math.isfinite(oracle.eval(oracle.prox(gamma, v)))
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("oracle", shipped_prox_oracles(), ids=lambda o: o.name)
+def test_prox_rejects_non_positive_gamma(oracle, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        oracle.prox(gamma, np.zeros(3))
+
+
 def test_registry_names_and_unknown():
     assert build_prox("l1", {"lam": 0.5}, 3).name == "l1"
     with pytest.raises(ValueError, match="unknown prox oracle"):

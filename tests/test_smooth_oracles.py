@@ -128,6 +128,16 @@ def test_fd_check_on_random_points(oracle):
         assert fd_gradient_check(oracle, x, 1e-5) <= 1e-5
 
 
+@pytest.mark.parametrize("make, A, second, fragment", [
+    (make_quadratic, [1.0, 2.0], [1.0], r"A must be a matrix, got shape \(2,\)"),
+    (make_logistic, [1.0, 2.0], [1.0], r"A must be a matrix, got shape \(2,\)"),
+    (make_logistic, [[1.0], [2.0]], [1.0], "labels must have one entry per row of A"),
+], ids=["quadratic_vector_A", "logistic_vector_A", "logistic_label_count"])
+def test_data_shapes_are_checked(make, A, second, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make(A, second)
+
+
 def test_registry_names_and_unknown():
     oracle = build_smooth("quartic", {}, 4)
     assert oracle.name == "quartic"

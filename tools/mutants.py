@@ -18,7 +18,7 @@ a stale entry can never count as killed.  All entries are matched before
 any suite runs.  Exit status: 0 when every mutant is killed, 1 when one
 survives, 2 on a harness error.  The harness is not part of tier-1: it runs
 the suite once unmutated and once per mutant, up to about 12 s each on a
-2-core host (about 2.5 min in all, since ``-x`` stops at the first failure).
+2-core host (about 4 min in all, since ``-x`` stops at the first failure).
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ SOLVER = "src/proxgrad/solver.py"
 CLI = "src/proxgrad/cli.py"
 PROX = "src/proxgrad/prox_oracles.py"
 DIAGNOSTICS = "src/proxgrad/diagnostics.py"
+CORE = "src/proxgrad/core.py"
+SMOOTH = "src/proxgrad/smooth_oracles.py"
 
 MUTANTS = [
     # the stationarity residual, computed once per trial and carried
@@ -114,6 +116,29 @@ MUTANTS = [
     (PROX, "inside = bool(((x >= lo_v) & (x <= hi_v)).all())",
      "inside = bool(((x >= lo_v) & (x <= hi_v)).any())",
      "tests/test_prox_oracles.py::TestBox::test_eval_matches_two_reductions[0.0-0.0]"),
+    # every exit tolerance is inclusive, and the outer loop runs max_outer steps
+    (SOLVER, "if residual <= config.tau_abs:", "if residual < config.tau_abs:",
+     "tests/test_solver.py::TestSolve::test_exit_tolerances_are_inclusive[residual]"),
+    (SOLVER, "if step_norm <= config.eps_step and", "if step_norm < config.eps_step and",
+     "tests/test_solver.py::TestSolve::test_exit_tolerances_are_inclusive[step]"),
+    (SOLVER, "if res_cand <= config.tau_abs:", "if res_cand < config.tau_abs:",
+     "tests/test_solver.py::TestEarlyInnerExit::test_inner_tolerance_is_inclusive"),
+    (SOLVER, "for k in range(config.max_outer):", "for k in range(config.max_outer + 1):",
+     "tests/test_solver.py::TestSolve::test_max_outer_status"),
+    (SOLVER, "for k in range(config.max_outer):", "for k in range(1, config.max_outer):",
+     "tests/test_acceptance.py::test_criterion_03_inner_loop_finiteness"),
+    # input checks: a vector's shape, a problem's dimension, a prox's gamma,
+    # and the shapes of a smooth term's data
+    (CORE, "if v.ndim != 1:", "if v.ndim == 0:",
+     "tests/test_core.py::test_as_vector_rejects_a_non_vector[matrix]"),
+    (CORE, "if v.size == 0:", "if False:",
+     "tests/test_core.py::test_as_vector_rejects_a_non_vector[empty]"),
+    (CORE, "if self.dimension < 1:", "if self.dimension < 0:",
+     "tests/test_core.py::test_problem_dimension_must_be_positive[0]"),
+    (PROX, "if not g > 0:", "if g < 0:",
+     "tests/test_prox_oracles.py::test_prox_rejects_non_positive_gamma[zero-0.0]"),
+    (SMOOTH, "if y.shape != (A.shape[0],):", "if y.ndim != 1:",
+     "tests/test_smooth_oracles.py::test_data_shapes_are_checked[logistic_label_count]"),
 ]
 
 # the tier-1 command, stopping at the first failure
