@@ -26,21 +26,21 @@ and `main` is the one place that reports it: one ``error:`` line on
 stderr and exit 1.
 
 The ``PROXGRAD_LOG`` environment variable ({quiet, info, debug}, default
-quiet) controls stderr verbosity.  Summaries and CSV output go to stdout;
-all file formats are bit-exact and deterministic across invocations.
+quiet) is read on every log call, which prints ``INFO ...`` or ``DEBUG ...``
+to the current stderr; the CLI attaches no `logging` handler.  Summaries
+and CSV output go to stdout; all file formats are bit-exact and
+deterministic across invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
 import warnings
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,6 @@ from .solver import (
 
 __all__ = ["main", "load_run_config", "shipped_config_names", "build_smooth", "build_prox"]
 
-log = logging.getLogger("proxgrad")
-
 _EXIT_OK = 0
 _EXIT_INVALID = 1
 _EXIT_MAX_OUTER = 2
@@ -78,30 +76,25 @@ _STATUS_EXIT = {
 }
 
 COMPARE_HEADER = "m,status,outer_iters,total_inner,final_psi"
+_CONFIG_DIR = Path(__file__).with_name("configs")
 
 
-def _configure_logging() -> None:
-    level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("PROXGRAD_LOG", "quiet"), logging.WARNING
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+def _log(level: str, message: str) -> None:
+    """Print ``LEVEL message`` to stderr if ``PROXGRAD_LOG`` asks for `level`."""
+    if os.environ.get("PROXGRAD_LOG") in {"info": ("info", "debug"), "debug": ("debug",)}[level]:
+        print(f"{level.upper()} {message}", file=sys.stderr)
 
 
 def shipped_config_names() -> list[str]:
     """Names of the example configs distributed with the package."""
-    pkg = resources.files("proxgrad") / "configs"
-    return sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json"))
+    return sorted(p.stem for p in _CONFIG_DIR.glob("*.json"))
 
 
 def _resolve_config_path(arg: str) -> Path:
     """A config argument is a filesystem path or a shipped config name."""
-    p = Path(arg)
-    if p.is_file():
-        return p
-    name = arg[:-5] if arg.endswith(".json") else arg
-    candidate = resources.files("proxgrad") / "configs" / f"{name}.json"
-    if candidate.is_file():
-        return Path(str(candidate))
+    for path in (Path(arg), _CONFIG_DIR / f"{arg.removesuffix('.json')}.json"):
+        if path.is_file():
+            return path
     raise ValueError(f"config {arg!r} not found")
 
 
@@ -251,15 +244,13 @@ def _run_one(problem: CompositeProblem, config: SolverConfig, x0, out: Path) -> 
     finally:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-    log.info(
-        "run %s: status=%s iterations=%d early_exits=%s",
-        problem.name, report.status, report.iterations, list(report.early_exit_ks),
-    )
+    _log("info", f"run {problem.name}: status={report.status} "
+                 f"iterations={report.iterations} early_exits={list(report.early_exit_ks)}")
     try:
         write_trace_csv(report.trace, out)
     except OSError as exc:
         raise ValueError(f"cannot write trace to {out}: {exc}") from exc
-    log.debug("trace written to %s (%d rows)", out, len(report.trace.records))
+    _log("debug", f"trace written to {out} ({len(report.trace.records)} rows)")
     return report
 
 
@@ -398,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -191,13 +191,21 @@ class Violation:
 
 
 def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
-    """For every k, the max of psi over the last min(k, m)+1 iterates ending
-    at k, taken over those values oldest first, as a slice of psi would be."""
-    window = deque(maxlen=min(m, len(psi)) + 1)
+    """For every k, what `max` gives over the last min(k, m)+1 values of psi up
+    to k: NaN if the oldest is NaN, else the oldest of the largest, a deque's front."""
+    # the window's non-NaN values that no later one exceeds, oldest first; a
+    # value is popped only by a larger one, so it leaves iff the front equals it
+    window: deque[float] = deque()
     maxima = []
-    for value in psi:
-        window.append(value)
-        maxima.append(max(window))
+    for k, value in enumerate(psi):
+        if k > m and window and window[0] == psi[k - m - 1]:
+            window.popleft()
+        if value == value:  # not NaN
+            while window and window[-1] < value:  # strict: of ties, the oldest stays
+                window.pop()
+            window.append(value)
+        oldest = psi[k - m] if k > m else psi[0]
+        maxima.append(window[0] if oldest == oldest else oldest)
     return maxima
 
 

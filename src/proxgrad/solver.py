@@ -154,7 +154,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
                 phi_cand = float(problem.nonsmooth.eval(cand))
                 psi_cand = f_cand + phi_cand
                 grad_cand = problem.smooth.grad(cand)
-                r = gamma * (x - cand) + grad_cand - grad
+                r = grad_cand - gamma * d - grad
                 res_cand = math.sqrt(float(np.dot(r, r)))
                 # a trial with a non-finite psi or gradient is rejected, whatever
                 # the comparisons below would make of its NaN or inf; a finite

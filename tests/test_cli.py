@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import math
 import os
 import subprocess
@@ -651,16 +652,16 @@ def test_shipped_config_names():
 
 
 def test_env_var_controls_logging(tmp_path, monkeypatch, capsys):
-    import logging
-
-    monkeypatch.setenv("PROXGRAD_LOG", "info")
+    # the variable is read on every call, and the CLI never configures
+    # logging: with no root handler, logging.basicConfig would add one
     root = logging.getLogger()
-    for h in list(root.handlers):
-        root.removeHandler(h)
+    monkeypatch.setattr(root, "handlers", [])
+    before = (list(root.handlers), root.level)
     trace = tmp_path / "t.csv"
-    code = run_cli(["run", "lasso_small", "--output", str(trace)])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "run quadratic+l1" in err
-    for h in list(root.handlers):
-        root.removeHandler(h)
+    info = "INFO run quadratic+l1: status=converged_residual iterations=59 early_exits=[]\n"
+    for level, err in (("quiet", ""), ("info", info),
+                       ("debug", info + f"DEBUG trace written to {trace} (59 rows)\n")):
+        monkeypatch.setenv("PROXGRAD_LOG", level)
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        assert capsys.readouterr().err == err
+    assert (list(root.handlers), root.level) == before

@@ -85,6 +85,17 @@ def test_window_maxima_are_the_slice_maxima(m):
     assert _window_maxima([], m) == []
 
 
+@pytest.mark.parametrize("m, want", [
+    (0, [-0.0, 0.0, 0.0, -0.0, -1.0]),
+    (1, [-0.0, -0.0, 0.0, 0.0, -0.0]),
+    (10**9, [-0.0] * 5),
+])
+def test_window_maxima_keep_the_oldest_of_tied_zeros(m, want):
+    # -0.0 == 0.0, so the zero that entered the window first is its maximum
+    psi = [-0.0, 0.0, 0.0, -0.0, -1.0]
+    assert [repr(v) for v in _window_maxima(psi, m)] == [repr(v) for v in want]
+
+
 class TestCheckLevelSet:
     def test_solver_trace(self):
         trace, _ = lasso_trace()

@@ -40,13 +40,11 @@ SMOOTH = "src/proxgrad/smooth_oracles.py"
 
 MUTANTS = [
     # the stationarity residual, computed once per trial and carried
-    (SOLVER, "r = gamma * (x - cand) + grad_cand - grad",
-     "r = gamma0 * (x - cand) + grad_cand - grad",
+    (SOLVER, "r = grad_cand - gamma * d - grad", "r = grad_cand - gamma0 * d - grad",
      "tests/test_acceptance.py::test_criterion_08_monotone_nonmonotone_coincidence"),
     (SOLVER, "grad_prev, residual = grad, res_cand", "grad_prev, residual = grad, residual",
      "tests/test_acceptance.py::test_criterion_03_inner_loop_finiteness"),
-    (SOLVER, "r = gamma * (x - cand) + grad_cand - grad",
-     "r = grad_cand - grad + gamma * (x - cand)",
+    (SOLVER, "r = grad_cand - gamma * d - grad", "r = grad_cand - grad - gamma * d",
      "tests/test_acceptance.py::test_criterion_08_monotone_nonmonotone_coincidence"),
     (SOLVER, "if math.isfinite(psi_cand) and (\n"
              "                        math.isfinite(res_cand) or np.isfinite(grad_cand).all()):",
@@ -139,6 +137,23 @@ MUTANTS = [
      "tests/test_prox_oracles.py::test_prox_rejects_non_positive_gamma[zero-0.0]"),
     (SMOOTH, "if y.shape != (A.shape[0],):", "if y.ndim != 1:",
      "tests/test_smooth_oracles.py::test_data_shapes_are_checked[logistic_label_count]"),
+    # the checker's window maxima: a monotone deque that keeps the oldest of
+    # tied values and skips NaN unless it is the oldest
+    (DIAGNOSTICS, "while window and window[-1] < value:", "while window and window[-1] <= value:",
+     "tests/test_diagnostics.py::test_window_maxima_keep_the_oldest_of_tied_zeros[1-want1]"),
+    (DIAGNOSTICS, "if value == value:", "if True:",
+     "tests/test_diagnostics.py::test_window_maxima_are_the_slice_maxima[0]"),
+    (DIAGNOSTICS, "window[0] if oldest == oldest else oldest", "window[0]",
+     "tests/test_diagnostics.py::test_window_maxima_are_the_slice_maxima[1]"),
+    (DIAGNOSTICS, "window[0] == psi[k - m - 1]", "window[0] == psi[k - m]",
+     "tests/test_diagnostics.py::test_window_maxima_are_the_slice_maxima[1]"),
+    # PROXGRAD_LOG is read on every call, and each level prints its own lines
+    (CLI, '{"info": ("info", "debug"), "debug": ("debug",)}',
+     '{"info": ("debug",), "debug": ("debug",)}',
+     "tests/test_cli.py::test_env_var_controls_logging"),
+    (CLI, '{"info": ("info", "debug"), "debug": ("debug",)}',
+     '{"info": ("info", "debug"), "debug": ("info", "debug")}',
+     "tests/test_cli.py::test_env_var_controls_logging"),
 ]
 
 # the tier-1 command, stopping at the first failure
