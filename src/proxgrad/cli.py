@@ -60,7 +60,7 @@ from .solver import (
     solve,
 )
 
-__all__ = ["main", "load_run_config", "shipped_config_names", "build_smooth", "build_prox"]
+__all__ = ["main", "load_run_config", "build_smooth", "build_prox"]
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1

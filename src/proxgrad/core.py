@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Vector",
     "as_vector",
     "SmoothOracle",
     "ProxOracle",

@@ -32,8 +32,6 @@ __all__ = [
     "IterateRecord",
     "Trace",
     "TraceFormatError",
-    "TRACE_HEADER",
-    "hash_x0",
     "write_trace_csv",
     "read_trace_csv",
     "Violation",
@@ -193,6 +191,8 @@ class Violation:
 def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
     """For every k, what `max` gives over the last min(k, m)+1 values of psi up
     to k: NaN if the oldest is NaN, else the oldest of the largest, a deque's front."""
+    if m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m}")
     # the window's non-NaN values that no later one exceeds, oldest first; a
     # value is popped only by a larger one, so it leaves iff the front equals it
     window: deque[float] = deque()
@@ -226,7 +226,7 @@ def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
     for k in range(len(trace.records) - 1):
         rec = trace.records[k]
         bound = env[k] - delta * (rec.gamma / 2.0) * rec.step_norm**2
-        if psi[k + 1] > bound + _PSI_TOL:
+        if not psi[k + 1] <= bound + _PSI_TOL:  # NaN fails too
             violations.append(
                 Violation(
                     k=k,

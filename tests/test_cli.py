@@ -363,6 +363,26 @@ class TestCheck:
         assert "check_acceptance: FAIL" in out
         assert "row 9" in out
 
+    @pytest.mark.parametrize("field, row", [(3, 19), (5, 20), (7, 20)],
+                             ids=["psi", "gamma", "step_norm"])
+    def test_nan_in_a_certified_column_exits_4_naming_the_row(self, tmp_path, capsys,
+                                                              field, row):
+        # a NaN psi fails the certificate that produced it, a NaN gamma or
+        # step norm the one it is part of
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        parts = lines[22].split(",")  # row 20, after the metadata line and the header
+        parts[field] = "nan"
+        lines[22] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["check", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "check_acceptance: FAIL" in out
+        assert f"  row {row}: " in out
+
     def test_empty_file_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"
         trace.write_text("")

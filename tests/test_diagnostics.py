@@ -59,6 +59,20 @@ class TestCheckAcceptance:
             bound = psi[k] - cfg["config"].delta * (rec.gamma / 2.0) * rec.step_norm**2
             assert psi[k + 1] <= bound + 1e-10
 
+    def test_bound_subtracts_the_decrease_term(self):
+        # bound = psi[0] - delta * (gamma / 2) * step**2 = 1 - 0.5 * 0.5 * 1 = 0.75
+        config = SolverConfig(delta=0.5, m=0)
+        at_bound = synth_trace([1.0, 0.75], step_norm=[1.0, 0.0], config=config)
+        assert check_acceptance(at_bound) == []
+        above = synth_trace([1.0, 0.76], step_norm=[1.0, 0.0], config=config)
+        assert [(v.k, v.detail) for v in check_acceptance(above)] == [
+            (0, "psi[1]=0.76000000000000001 exceeds bound 0.75")]
+
+    def test_last_certified_row_is_checked(self):
+        # row n-2 certifies the last row's psi
+        violations = check_acceptance(synth_trace([3.0, 2.0, 5.0]))
+        assert [v.k for v in violations] == [1]
+
 
 class TestCheckEnvelope:
     def test_decreasing_sequence(self):
@@ -67,6 +81,9 @@ class TestCheckEnvelope:
     def test_hand_rolled_counterexample(self):
         # psi (5,6,4,3) with m=1 has envelope (5,6,6,4): rises at k=1
         assert not check_envelope(synth_trace([5.0, 6.0, 4.0, 3.0]), m=1)
+
+    def test_rise_at_the_last_pair_is_flagged(self):
+        assert not check_envelope(synth_trace([3.0, 2.0, 4.0]), m=0)
 
     def test_shipped_runs_with_window(self):
         for name in ("lasso_small", "quartic_box", "logistic_l1"):
@@ -83,6 +100,19 @@ def test_window_maxima_are_the_slice_maxima(m):
     want = [max(psi[max(0, k - m): k + 1]) for k in range(len(psi))]
     assert [repr(v) for v in _window_maxima(psi, m)] == [repr(v) for v in want]
     assert _window_maxima([], m) == []
+
+
+def test_window_keeps_its_front_until_it_leaves():
+    # at k = m nothing has left the window yet; psi[k - m - 1] would be psi[-1]
+    assert _window_maxima([2.0, 1.0, 2.0], 1) == [2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("check", [lambda t: check_acceptance(t, m=-1),
+                                   lambda t: check_envelope(t, -1)],
+                         ids=["check_acceptance", "check_envelope"])
+def test_negative_window_is_a_value_error(check):
+    with pytest.raises(ValueError, match=r"^m must be a nonnegative integer, got -1$"):
+        check(synth_trace([1.0, 0.5]))
 
 
 @pytest.mark.parametrize("m, want", [
@@ -177,6 +207,14 @@ class TestTraceCsv:
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
         assert back == trace
+
+    def test_gamma0_is_read_from_its_own_column(self, tmp_path):
+        trace = synth_trace([2.0, 1.0])
+        records = (dataclasses.replace(trace.records[0], gamma0=0.25),) + trace.records[1:]
+        trace = dataclasses.replace(trace, records=records)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
 
     def test_residual_sentinel_empty_field(self, tmp_path):
         trace, _ = lasso_trace()

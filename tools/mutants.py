@@ -154,6 +154,31 @@ MUTANTS = [
     (CLI, '{"info": ("info", "debug"), "debug": ("debug",)}',
      '{"info": ("info", "debug"), "debug": ("info", "debug")}',
      "tests/test_cli.py::test_env_var_controls_logging"),
+    # the checkers' bound, rows and window, and the trace reader's columns
+    (DIAGNOSTICS, "bound = env[k] - delta * (rec.gamma / 2.0)",
+     "bound = env[k] + delta * (rec.gamma / 2.0)",
+     "tests/test_diagnostics.py::TestCheckAcceptance::test_bound_subtracts_the_decrease_term"),
+    (DIAGNOSTICS, "for k in range(len(trace.records) - 1):",
+     "for k in range(len(trace.records) - 2):",
+     "tests/test_diagnostics.py::TestCheckAcceptance::test_last_certified_row_is_checked"),
+    (DIAGNOSTICS, "for k in range(len(env) - 1)", "for k in range(len(env) - 2)",
+     "tests/test_diagnostics.py::TestCheckEnvelope::test_rise_at_the_last_pair_is_flagged"),
+    (DIAGNOSTICS, "gamma0=float(parts[4]),", "gamma0=float(parts[5]),",
+     "tests/test_diagnostics.py::TestTraceCsv::test_gamma0_is_read_from_its_own_column"),
+    (DIAGNOSTICS, "if k > m and window", "if k >= m and window",
+     "tests/test_diagnostics.py::test_window_keeps_its_front_until_it_leaves"),
+    (DIAGNOSTICS, "if not psi[k + 1] <= bound + _PSI_TOL:", "if psi[k + 1] > bound + _PSI_TOL:",
+     "tests/test_cli.py::TestCheck::test_nan_in_a_certified_column_exits_4_naming_the_row[gamma]"),
+    (DIAGNOSTICS, "    if m < 0:\n", "    if False:\n",
+     "tests/test_diagnostics.py::test_negative_window_is_a_value_error[check_envelope]"),
+    # each module's __all__ is its list of public names
+    (CORE, '__all__ = [\n    "as_vector",', '__all__ = [\n    "Vector",\n    "as_vector",',
+     "tests/test_core.py::test_public_names_are_pinned"),
+    (PROX, '    "make_box",\n', "",
+     "tests/test_core.py::test_public_names_are_pinned"),
+    (CLI, '"load_run_config", "build_smooth"',
+     '"load_run_config", "shipped_config_names", "build_smooth"',
+     "tests/test_core.py::test_every_export_has_a_caller_in_another_module"),
 ]
 
 # the tier-1 command, stopping at the first failure
