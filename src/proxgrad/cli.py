@@ -8,9 +8,9 @@ Subcommands
     convergence, 2 when the outer iteration cap is hit, 3 when the inner
     loop caps out, 1 on invalid input.
 ``check <trace>``
-    Run every trace checker against the trace's own config, print one line
-    per checker, exit 0 iff all pass (4 when a check fails, 1 when the file
-    cannot be parsed).
+    Print the run's status, then one line per trace checker, each run with
+    the trace's own config; exit 0 iff all pass (4 when a check fails, 1
+    when the file cannot be parsed).
 ``compare <config> --m M [M ...]``
     Re-run the same problem once per window size and emit a comparison CSV.
 ``list``
@@ -280,6 +280,7 @@ def cmd_check(args) -> int:
     steps_tol = args.steps_tol if args.steps_tol is not None else max(tau_abs, 1e-6)
     product_tol = args.product_tol if args.product_tol is not None else max(10.0 * tau_abs, 1e-5)
 
+    print(f"status: {trace.status}")
     ok = True
     violations = diagnostics.check_acceptance(trace)
     if violations:
@@ -325,7 +326,8 @@ def cmd_compare(args) -> int:
     for config in configs:
         trace_path = out_base.with_name(f"{out_base.stem}_m{config.m}{out_base.suffix}")
         report = _run_one(cfg["problem"], config, cfg["x0"], trace_path)
-        total_inner = sum(r.inner_iters + 1 for r in report.trace.records)
+        total_inner = sum(r.inner_iters + 1 for r in report.trace.records) + (
+            config.max_inner if report.status == STATUS_INNER_CAP else 0)
         rows.append(f"{config.m},{report.status},{report.iterations},{total_inner},"
                     f"{report.psi_final:.17g}")
         all_converged = all_converged and _STATUS_EXIT[report.status] == _EXIT_OK

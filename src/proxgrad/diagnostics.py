@@ -3,9 +3,10 @@
 A trace holds one record per accepted outer step: record ``k`` describes the
 move from the k-th iterate to the next one, together with the termination
 residual that was evaluated *at* the k-th iterate before stepping (``+inf``
-sentinel at k = 0, where no previous gradient exists).  A trace always
-carries the `SolverConfig` it was made with, its problem name and an x0
-checksum; on file they form the required metadata line.
+sentinel at k = 0, where no previous gradient exists).  A trace carries its
+`SolverConfig`, problem name, x0 checksum and end: the status, psi and
+residual at the last iterate, and whether its step was an inner early exit.
+On file they form the metadata line, so the last row is certified too.
 
 The checkers are pure functions over traces.  They recompute every derived
 quantity (window maxima, envelopes) from the raw columns instead of trusting
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -85,6 +87,10 @@ class Trace:
     config_echo: SolverConfig
     problem_name: str
     x0_hash: str
+    status: str
+    psi_final: float
+    final_residual: float
+    early_exit: bool
 
 
 def hash_x0(x0) -> str:
@@ -104,14 +110,13 @@ def write_trace_csv(trace: Trace, path) -> None:
     Floats are written with 17 significant digits (exact double round-trip);
     the k = 0 residual sentinel becomes an empty field.  A single
     comment-prefixed metadata line precedes the fixed column header so that
-    the solver configuration, problem name, and x0 checksum survive the
-    round-trip.
+    the solver configuration, problem name, x0 checksum and the run's end
+    survive the round-trip.
     """
-    meta = {
-        "problem_name": trace.problem_name,
-        "x0_hash": trace.x0_hash,
-        "config": asdict(trace.config_echo),
-    }
+    meta = {"problem_name": trace.problem_name, "x0_hash": trace.x0_hash,
+            "config": asdict(trace.config_echo), "status": trace.status,
+            "psi_final": trace.psi_final, "final_residual": trace.final_residual,
+            "early_exit": trace.early_exit}
     lines = [_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     lines.append(TRACE_HEADER)
     for k, r in enumerate(trace.records):
@@ -127,10 +132,10 @@ def read_trace_csv(path) -> Trace:
     """Parse a trace file written by :func:`write_trace_csv`.
 
     The metadata line is required and must hold a valid solver config, the
-    problem name and the x0 checksum, since the checkers need the config's
-    delta and m.  The rows are validated only structurally (field counts,
-    number formats, contiguous indices): semantically corrupted values must
-    still load so the checkers can flag them.  Rows are split on commas,
+    problem name, the x0 checksum and the run's end, which the checkers
+    need.  The rows are validated only structurally (field counts, number
+    formats, contiguous indices): semantically corrupted values must still
+    load so the checkers can flag them.  Rows are split on commas,
     since the writer never quotes; a quoted field is a format error.
     """
     try:
@@ -144,7 +149,10 @@ def read_trace_csv(path) -> Trace:
     try:
         meta = json.loads(lines[0][len(_META_PREFIX):])
         config = SolverConfig(**meta["config"])
-        problem_name, x0_hash = meta["problem_name"], meta["x0_hash"]
+        problem_name, x0_hash, status = meta["problem_name"], meta["x0_hash"], meta["status"]
+        psi_final, final_residual = float(meta["psi_final"]), float(meta["final_residual"])
+        if type(status) is not str or type(early_exit := meta["early_exit"]) is not bool:
+            raise TypeError("status must be a string and early_exit a boolean")
     except KeyError as exc:
         raise TraceFormatError(f"bad metadata: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad config
@@ -177,7 +185,8 @@ def read_trace_csv(path) -> Trace:
         except ValueError as exc:
             raise TraceFormatError(f"bad row {ln!r}: {exc}") from exc
     return Trace(records=tuple(records), config_echo=config, problem_name=problem_name,
-                 x0_hash=x0_hash)
+                 x0_hash=x0_hash, status=status, psi_final=psi_final,
+                 final_residual=final_residual, early_exit=early_exit)
 
 
 @dataclass(frozen=True)
@@ -191,8 +200,11 @@ class Violation:
 def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
     """For every k, what `max` gives over the last min(k, m)+1 values of psi up
     to k: NaN if the oldest is NaN, else the oldest of the largest, a deque's front."""
-    if m < 0:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    try:  # an int or a numpy integer: not a float, a string or a negative
+        if operator.index(m) < 0:
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}") from None
     # the window's non-NaN values that no later one exceeds, oldest first; a
     # value is popped only by a larger one, so it leaves iff the front equals it
     window: deque[float] = deque()
@@ -210,29 +222,28 @@ def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
 
 
 def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
-    """Re-verify the sufficient-decrease certificate on every checkable row.
+    """Re-verify the acceptance certificate of every row.
 
     Row k asserts ``psi[k+1] <= max(psi[k-m_k .. k]) - delta*(gamma_k/2)*step_k^2``
-    with the window maxima recomputed from the psi column; delta is the
-    trace's, and so is m unless given.  The final row has no successor psi
-    in the file and is certified at solve time instead.  Returns an empty
-    list iff the trace passes.
+    with the window maxima recomputed from the psi column and psi[n] =
+    `psi_final`; delta is the trace's, and so is m unless given.  An
+    `early_exit` last row asserts ``final_residual <= tau_abs`` instead.
+    Returns an empty list iff the trace passes.
     """
-    delta = trace.config_echo.delta
+    delta, tau_abs = trace.config_echo.delta, trace.config_echo.tau_abs
     m = trace.config_echo.m if m is None else m
-    psi = [r.psi for r in trace.records]
+    psi = [r.psi for r in trace.records] + [trace.psi_final]
     env = _window_maxima(psi, m)
     violations = []
-    for k in range(len(trace.records) - 1):
+    for k in range(len(trace.records) - trace.early_exit):
         rec = trace.records[k]
         bound = env[k] - delta * (rec.gamma / 2.0) * rec.step_norm**2
         if not psi[k + 1] <= bound + _PSI_TOL:  # NaN fails too
-            violations.append(
-                Violation(
-                    k=k,
-                    detail=f"psi[{k + 1}]={psi[k + 1]:.17g} exceeds bound {bound:.17g}",
-                )
-            )
+            violations.append(Violation(
+                k=k, detail=f"psi[{k + 1}]={psi[k + 1]:.17g} exceeds bound {bound:.17g}"))
+    if trace.early_exit and not trace.final_residual <= tau_abs:
+        violations.append(Violation(k=len(trace.records) - 1, detail=(
+            f"early exit residual {trace.final_residual:.17g} exceeds tau_abs {tau_abs:.17g}")))
     return violations
 
 
@@ -292,6 +303,6 @@ def gamma_bound_report(trace: Trace) -> GammaBoundReport:
         return GammaBoundReport(max_gamma=0.0, trend_flag=False)
     tail = _tail(gammas, fraction=0.25)
     return GammaBoundReport(
-        max_gamma=max(gammas),
+        max_gamma=math.nan if any(map(math.isnan, gammas)) else max(gammas),
         trend_flag=all(g > tau * gamma_max for g in tail),
     )

@@ -52,24 +52,21 @@ STATUS_INNER_CAP = "inner_loop_cap"
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Terminal point, exit status, final residual, and the full trace.
+    """The terminal point and the trace, which the other attributes read.
 
     `iterations` counts accepted outer steps, which are the trace rows.
-    `early_exit_ks` lists the trace row indices whose step was accepted
-    through the inner stationarity test instead of sufficient decrease: that
-    residual is the one the run stops on, so it is ``()`` or the last row's.
+    `early_exit_ks` is ``()``, or the last row's index when its step was
+    accepted through the inner stationarity test, not sufficient decrease.
     """
 
     x_final: Vector
-    status: str
-    final_residual: float
-    psi_final: float
     trace: Trace
-    early_exit_ks: tuple[int, ...] = ()
 
-    @property
-    def iterations(self) -> int:
-        return len(self.trace.records)
+    status = property(lambda self: self.trace.status)
+    psi_final = property(lambda self: self.trace.psi_final)
+    final_residual = property(lambda self: self.trace.final_residual)
+    iterations = property(lambda self: len(self.trace.records))
+    early_exit_ks = property(lambda self: (self.iterations - 1,) if self.trace.early_exit else ())
 
 
 def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
@@ -125,7 +122,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         # is plain sufficient decrease
         psis = [psi_x]
         records: list[IterateRecord] = []
-        early_ks: list[int] = []
+        early_exit = False
         # after the first step, gamma, the step d, step_sq = <d, d>,
         # grad_prev and residual are the accepted step's
         residual = math.inf
@@ -164,7 +161,7 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
                     if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
                         break
                     if res_cand <= config.tau_abs:
-                        early_ks.append(k)
+                        early_exit = True
                         break
                 gamma = gamma * config.tau
             else:
@@ -192,6 +189,6 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             status = STATUS_MAX_OUTER
 
     trace = Trace(records=tuple(records), config_echo=config, problem_name=problem.name,
-                  x0_hash=hash_x0(x0))
-    return SolveReport(x_final=x, status=status, final_residual=residual, psi_final=psi_x,
-                       trace=trace, early_exit_ks=tuple(early_ks))
+                  x0_hash=hash_x0(x0), status=status, psi_final=psi_x,
+                  final_residual=residual, early_exit=early_exit)
+    return SolveReport(x_final=x, trace=trace)

@@ -86,8 +86,10 @@ def synth_trace(psi, step_norm=None, gamma=None, inner_iters=None, config=None):
         )
         for k in range(n)
     )
+    # the run ends on the cap, and its last iterate repeats the last row's psi
     return Trace(records=records, config_echo=config or SolverConfig(),
-                 problem_name="synthetic", x0_hash="0" * 16)
+                 problem_name="synthetic", x0_hash="0" * 16, status="max_outer_reached",
+                 psi_final=float(psi[-1]) if n else 0.0, final_residual=1.0, early_exit=False)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ def reference_monotone_solve(problem, config, x0) -> SolveReport:
     grad = problem.smooth.grad(x)
 
     records = []
+    early_exit = False
     x_prev = grad_prev = None
     gamma_prev = None
     step_small = False
@@ -91,6 +92,7 @@ def reference_monotone_solve(problem, config, x0) -> SolveReport:
             if math.sqrt(float(np.dot(ivec, ivec))) <= config.tau_abs:
                 accepted = (cand, gamma, i, psi_cand, f_cand, phi_cand,
                             math.sqrt(step_sq), grad_cand)
+                early_exit = True
                 break
             gamma = gamma * config.tau
         if accepted is None:
@@ -113,6 +115,7 @@ def reference_monotone_solve(problem, config, x0) -> SolveReport:
 
     trace = Trace(records=tuple(records), config_echo=config,
                   problem_name=problem.name,
-                  x0_hash=hash_x0(np.asarray(x0, dtype=np.float64)))
-    return SolveReport(x_final=x, status=status, final_residual=residual,
-                       psi_final=psi_x, trace=trace)
+                  x0_hash=hash_x0(np.asarray(x0, dtype=np.float64)),
+                  status=status, psi_final=psi_x, final_residual=residual,
+                  early_exit=early_exit)
+    return SolveReport(x_final=x, trace=trace)

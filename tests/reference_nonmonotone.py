@@ -116,6 +116,7 @@ def reference_nonmonotone_solve(problem, config, x0) -> SolveReport:
 
     trace = Trace(records=tuple(records), config_echo=config,
                   problem_name=problem.name,
-                  x0_hash=hash_x0(np.asarray(x0, dtype=np.float64)))
-    return SolveReport(x_final=x, status=status, final_residual=residual,
-                       psi_final=psi_x, trace=trace, early_exit_ks=tuple(early_ks))
+                  x0_hash=hash_x0(np.asarray(x0, dtype=np.float64)),
+                  status=status, psi_final=psi_x, final_residual=residual,
+                  early_exit=bool(early_ks))
+    return SolveReport(x_final=x, trace=trace)

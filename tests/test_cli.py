@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -13,12 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import proxgrad
-from proxgrad.cli import _resolve_config_path, main, shipped_config_names
+from proxgrad.cli import _resolve_config_path, build_prox, main, shipped_config_names
 
 from conftest import SHIPPED
 
 HUGE = 2**2000  # an int that float() cannot represent
 PROBLEM = {"smooth": {"name": "quartic"}, "nonsmooth": {"name": "zero"}, "dimension": 2}
+META_PREFIX = "# proxgrad-trace "
+# gamma stays at 1e-8 and one trial is allowed: the first outer iteration caps out
+INNER_CAP = {"solver.max_inner": 1, "solver.gamma0_strategy": "constant",
+             "solver.gamma0_value": 1e-8, "solver.gamma_max": 1e-8}
 WINDOW_WARNING = ("warning: nonmonotone window m={} with a nonsmooth term that is not "
                   "continuous on its domain: the envelope-based convergence guarantees "
                   "do not apply\n")
@@ -45,6 +50,13 @@ def write_config(tmp_path, name="cfg.json", base="lasso_small", **overrides) -> 
     out = tmp_path / name
     out.write_text(json.dumps(cfg))
     return out
+
+
+def rewrite_metadata(trace: Path, edit) -> None:
+    """Replace the metadata object of a trace file by `edit(meta)`."""
+    lines = trace.read_text().splitlines()
+    lines[0] = META_PREFIX + json.dumps(edit(json.loads(lines[0][len(META_PREFIX):])))
+    trace.write_text("\n".join(lines) + "\n")
 
 
 class TestRun:
@@ -383,6 +395,44 @@ class TestCheck:
         assert "check_acceptance: FAIL" in out
         assert f"  row {row}: " in out
 
+    @pytest.mark.parametrize("overrides, status", [
+        ({}, "converged_residual"),
+        (INNER_CAP, "inner_loop_cap"),
+    ], ids=["converged", "inner_cap"])
+    def test_first_line_is_the_status(self, tmp_path, capsys, overrides, status):
+        trace = tmp_path / "t.csv"
+        run_cli(["run", str(write_config(tmp_path, **overrides)), "--output", str(trace)])
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"status: {status}"
+
+    @pytest.mark.parametrize("end, detail", [
+        ({"psi_final": 1.0}, "psi[{n}]=1 exceeds bound "),
+        ({"early_exit": True, "final_residual": 0.5}, "early exit residual 0.5 exceeds tau_abs "),
+    ], ids=["psi_final_above_bound", "early_exit_above_tau_abs"])
+    def test_bad_run_end_exits_4_naming_the_last_row(self, tmp_path, capsys, end, detail):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        n = len(trace.read_text().splitlines()) - 2
+        rewrite_metadata(trace, lambda meta: {**meta, **end})
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 4
+        out = capsys.readouterr().out
+        assert "check_acceptance: FAIL (1 violations)" in out
+        assert f"  row {n - 1}: {detail.format(n=n)}" in out
+
+    def test_trace_without_the_run_end_exits_1(self, tmp_path, capsys):
+        # a trace written before the metadata line stated how the run ended
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        rewrite_metadata(trace, lambda meta: {k: meta[k] for k in
+                                              ("config", "problem_name", "x0_hash")})
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read trace: bad metadata: missing key 'status'\n"
+
     def test_empty_file_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"
         trace.write_text("")
@@ -521,8 +571,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("overrides, status", [
         ({"solver.max_outer": 3}, "max_outer_reached"),
-        ({"solver.max_inner": 1, "solver.gamma0_strategy": "constant",
-          "solver.gamma0_value": 1e-8, "solver.gamma_max": 1e-8}, "inner_loop_cap"),
+        (INNER_CAP, "inner_loop_cap"),
     ], ids=["max_outer", "inner_cap"])
     def test_unconverged_window_exits_2(self, tmp_path, capsys, monkeypatch, overrides,
                                         status):
@@ -530,6 +579,29 @@ class TestCompare:
         cfg = write_config(tmp_path, **overrides)
         assert run_cli(["compare", str(cfg), "--m", "0"]) == 2
         assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["0", status]
+
+    @pytest.mark.parametrize("base, m, overrides, status", [
+        ("quartic_box", 0, {"solver.max_outer": 3, "solver.max_inner": 1}, "inner_loop_cap"),
+        ("logistic_l1", 0, {"solver.max_inner": 2}, "inner_loop_cap"),
+        ("lasso_small", 5, {}, "converged_residual"),
+    ], ids=["quartic_box_inner_cap", "logistic_l1_inner_cap", "lasso_small"])
+    def test_total_inner_counts_prox_calls(self, tmp_path, capsys, monkeypatch, base, m,
+                                           overrides, status):
+        # every trial solves one prox subproblem, the failed trials of an
+        # inner cap included
+        calls = []
+
+        def counting_build_prox(name, params, dimension):
+            oracle = build_prox(name, params, dimension)
+            return dataclasses.replace(
+                oracle, prox=lambda gamma, v: calls.append(gamma) or oracle.prox(gamma, v))
+
+        monkeypatch.setattr("proxgrad.cli.build_prox", counting_build_prox)
+        monkeypatch.chdir(tmp_path)
+        run_cli(["compare", str(write_config(tmp_path, base=base, **overrides)), "--m", str(m)])
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == status
+        assert int(row[3]) == len(calls) > 0
 
     def test_negative_m_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -73,6 +73,25 @@ class TestCheckAcceptance:
         violations = check_acceptance(synth_trace([3.0, 2.0, 5.0]))
         assert [v.k for v in violations] == [1]
 
+    def test_last_row_is_certified_by_psi_final(self):
+        trace = synth_trace([3.0, 2.0, 1.0], config=SolverConfig(m=0))
+        assert check_acceptance(trace) == []
+        above = dataclasses.replace(trace, psi_final=1.5)
+        assert [(v.k, v.detail) for v in check_acceptance(above)] == [
+            (2, "psi[3]=1.5 exceeds bound 1")]
+
+    @pytest.mark.parametrize("final_residual, want", [
+        (1e-6, []),
+        (0.5, [(2, "early exit residual 0.5 exceeds tau_abs 9.9999999999999995e-07")]),
+    ], ids=["within_tau_abs", "above_tau_abs"])
+    def test_early_exit_row_is_certified_by_its_residual(self, final_residual, want):
+        # an early exit failed sufficient decrease, so its psi_final may lie
+        # above the bound; its residual must be within tau_abs instead
+        trace = dataclasses.replace(synth_trace([3.0, 2.0, 1.0]), status="converged_residual",
+                                    psi_final=1.5, final_residual=final_residual,
+                                    early_exit=True)
+        assert [(v.k, v.detail) for v in check_acceptance(trace)] == want
+
 
 class TestCheckEnvelope:
     def test_decreasing_sequence(self):
@@ -107,12 +126,25 @@ def test_window_keeps_its_front_until_it_leaves():
     assert _window_maxima([2.0, 1.0, 2.0], 1) == [2.0, 2.0, 2.0]
 
 
-@pytest.mark.parametrize("check", [lambda t: check_acceptance(t, m=-1),
-                                   lambda t: check_envelope(t, -1)],
-                         ids=["check_acceptance", "check_envelope"])
-def test_negative_window_is_a_value_error(check):
-    with pytest.raises(ValueError, match=r"^m must be a nonnegative integer, got -1$"):
-        check(synth_trace([1.0, 0.5]))
+CHECKS = {"check_acceptance": lambda t, m: check_acceptance(t, m=m),
+          "check_envelope": check_envelope}
+
+
+@pytest.mark.parametrize("check, m", [
+    ("check_acceptance", -1), ("check_envelope", -1),
+    ("check_acceptance", 1.5), ("check_envelope", 1.5),
+    ("check_acceptance", "1"), ("check_envelope", "1"),
+], ids=["check_acceptance", "check_envelope", "check_acceptance-float", "check_envelope-float",
+        "check_acceptance-str", "check_envelope-str"])
+def test_negative_window_is_a_value_error(check, m):
+    with pytest.raises(ValueError, match=f"^m must be a nonnegative integer, got {m!r}$"):
+        CHECKS[check](synth_trace([1.0, 0.5]), m)
+
+
+def test_numpy_integer_window_is_a_window():
+    trace = synth_trace([1.0, 0.5])
+    assert check_acceptance(trace, m=np.int64(1)) == []
+    assert check_envelope(trace, np.int64(1))
 
 
 @pytest.mark.parametrize("m, want", [
@@ -199,6 +231,12 @@ class TestGammaBoundReport:
         report = gamma_bound_report(synth_trace([]))
         assert (report.max_gamma, report.trend_flag) == (0.0, False)
 
+    @pytest.mark.parametrize("gamma", [[1.0, math.nan, 2.0], [math.nan, 1.0, 2.0]],
+                             ids=["nan_inside", "nan_first"])
+    def test_nan_gamma_makes_max_gamma_nan(self, gamma):
+        # max() skips a NaN after the first value, so the position must not matter
+        assert math.isnan(gamma_bound_report(synth_trace([3.0, 2.0, 1.0], gamma=gamma)).max_gamma)
+
 
 class TestTraceCsv:
     def test_round_trip_identity(self, tmp_path):
@@ -207,6 +245,26 @@ class TestTraceCsv:
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
         assert back == trace
+
+    def test_metadata_line_states_the_run_end(self, tmp_path):
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        meta = json.loads(path.read_text().splitlines()[0][len("# proxgrad-trace "):])
+        assert sorted(meta) == ["config", "early_exit", "final_residual", "problem_name",
+                                "psi_final", "status", "x0_hash"]
+        assert (meta["status"], meta["psi_final"], meta["final_residual"], meta["early_exit"]) == (
+            "converged_residual", trace.psi_final, trace.final_residual, False)
+
+    @pytest.mark.parametrize("end", [
+        {"status": "inner_loop_cap", "final_residual": math.inf},
+        {"status": "converged_residual", "final_residual": 1e-7, "early_exit": True},
+    ], ids=["inner_cap_at_k0", "early_exit"])
+    def test_run_end_round_trips(self, tmp_path, end):
+        trace = dataclasses.replace(synth_trace([2.0, 1.0]), **end)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
 
     def test_gamma0_is_read_from_its_own_column(self, tmp_path):
         trace = synth_trace([2.0, 1.0])
@@ -233,7 +291,8 @@ class TestTraceCsv:
                             gamma=1.0, inner_iters=0, step_norm=1 / 3,
                             residual=math.inf, accepted_ref=0.1)
         trace = Trace(records=(rec,), config_echo=SolverConfig(),
-                      problem_name="p", x0_hash="a" * 16)
+                      problem_name="p", x0_hash="a" * 16, status="max_outer_reached",
+                      psi_final=0.1, final_residual=1.0, early_exit=False)
         path = tmp_path / "t.csv"
         write_trace_csv(trace, path)
         row = path.read_text().splitlines()[2]
@@ -256,7 +315,8 @@ class TestTraceCsv:
             for k, v in enumerate(values))
         path = tmp_path / "t.csv"
         write_trace_csv(Trace(records=records, config_echo=SolverConfig(), problem_name="p",
-                              x0_hash="a" * 16), path)
+                              x0_hash="a" * 16, status="max_outer_reached", psi_final=0.1,
+                              final_residual=1.0, early_exit=False), path)
         want = []
         for k, r in enumerate(records):
             residual = "" if math.isinf(r.residual) else fmt(r.residual)
@@ -319,7 +379,15 @@ class TestTraceCsv:
         (lambda meta: {**meta, "config": None}, "bad metadata: "),
         (lambda meta: {k: v for k, v in meta.items() if k != "x0_hash"},
          "bad metadata: missing key 'x0_hash'"),
-    ], ids=["null_config", "no_x0_hash"])
+        (lambda meta: {k: v for k, v in meta.items() if k != "status"},
+         "bad metadata: missing key 'status'"),
+        (lambda meta: {**meta, "psi_final": None}, "bad metadata: float"),
+        (lambda meta: {**meta, "early_exit": "false"},
+         "bad metadata: status must be a string and early_exit a boolean"),
+        (lambda meta: {**meta, "status": 0},
+         "bad metadata: status must be a string and early_exit a boolean"),
+    ], ids=["null_config", "no_x0_hash", "no_status", "null_psi_final", "string_early_exit",
+            "number_status"])
     def test_rejects_metadata_without_config(self, tmp_path, edit, fragment):
         # delta and m come from the trace's config, so a trace must carry one
         trace, _ = lasso_trace()

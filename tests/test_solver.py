@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -208,6 +208,16 @@ class TestGamma0Select:
         first, second = solve(problem, config, [0.0]).trace.records
         assert (first.gamma, first.step_norm) == (4.0, 0.0)
         assert second.gamma0 == config.gamma_max
+
+    def test_bb_step_in_the_null_space_falls_back(self):
+        # f = 0.5 x_1^2 and an l1 term from x0 = (0, 1): the gradient is 0 at
+        # x0, so the first step only shrinks x_2.  It lies in the null space of
+        # A, so <s, y> = 0: the guess falls back to the accepted gamma, not to
+        # the quotient 0 clamped to gamma_min
+        problem = make_problem(make_quadratic([[1.0, 0.0]], [0.0]), make_l1(0.1), 2)
+        first, second = solve(problem, SolverConfig(m=0, max_outer=2), [0.0, 1.0]).trace.records
+        assert (first.gamma0, first.gamma, first.inner_iters) == (1.0, 1.0, 0)
+        assert second.gamma0 == first.gamma
 
     def test_fallback_after_backtracking_takes_the_accepted_gamma(self):
         # f = 10 (x^4/4 - x^2) from x0 = 0.1: the first trial (gamma 1)
@@ -476,6 +486,19 @@ class TestSolve:
                 == [repr(astuple(r)) for r in ref.trace.records])
         assert report.x_final.tobytes() == ref.x_final.tobytes()
 
+    def test_small_step_at_gamma_max_times_tau_ends_converged_step(self):
+        # f = 2 x^2 from x0 = 6e-4 at gamma0 = gamma_max = 1.5: gamma 1.5 is
+        # rejected and gamma 3 = gamma_max * tau lands on -2e-4.  The step,
+        # 8e-4, passes eps_step while the residual, |4 - 3| * 8e-4, exceeds
+        # tau_abs, and the step-norm exit admits a gamma up to gamma_max * tau
+        problem = make_problem(make_quadratic([[2.0]], [0.0]), make_zero(), 1)
+        config = SolverConfig(m=0, delta=0.5, gamma_max=1.5, gamma0_strategy="constant",
+                              gamma0_value=1.5, eps_step=1e-3, tau_abs=1e-4)
+        report = solve(problem, config, [6e-4])
+        assert (report.status, report.iterations) == ("converged_step", 1)
+        assert report.trace.records[0].gamma == config.gamma_max * config.tau
+        assert report.final_residual > config.tau_abs
+
     @pytest.mark.parametrize("tolerances, status", [
         ({"tau_abs": 0.5}, "converged_residual"),
         ({"tau_abs": 0.1, "eps_step": 0.5}, "converged_step"),
@@ -529,6 +552,22 @@ class TestSolve:
         with pytest.warns(UserWarning, match="not.*continuous"):
             solve(cfg["problem"], cfg["config"], cfg["x0"])
 
+    def test_window_warning_points_at_the_caller(self):
+        cfg = load_shipped("quartic_l0")
+        with pytest.warns(UserWarning) as record:
+            solve(cfg["problem"], replace(cfg["config"], max_outer=1), cfg["x0"])
+        assert [w.filename for w in record] == [__file__]
+
+    def test_report_is_x_final_and_a_view_of_its_trace(self, lasso):
+        report = solve_quiet(lasso["problem"], lasso["config"], lasso["x0"])
+        assert [f.name for f in fields(report)] == ["x_final", "trace"]
+        trace = report.trace
+        assert (report.status, report.psi_final, report.final_residual, report.iterations,
+                report.early_exit_ks) == (trace.status, trace.psi_final, trace.final_residual,
+                                          len(trace.records), ())
+        with pytest.raises(AttributeError):
+            report.status = "converged_step"
+
     def test_no_warning_for_monotone_l0(self):
         cfg = load_shipped("quartic_l0")
         import warnings as w
@@ -563,6 +602,19 @@ class TestEarlyInnerExit:
         # the accepted step genuinely violated the decrease test
         assert report.psi_final > rec.accepted_ref - config.delta * (rec.gamma / 2) * rec.step_norm**2
         assert report.final_residual <= config.tau_abs
+
+    def test_early_exit_trace_certifies_its_last_row(self):
+        # the trace says the last step was an early exit, so check_acceptance
+        # certifies its residual; read as a decrease step, it fails
+        problem = make_problem(make_quadratic([[1.0]], [0.6]), make_l0(0.18), 1)
+        config = SolverConfig(
+            gamma_min=0.999, gamma_max=0.999, gamma0_strategy="constant",
+            gamma0_value=0.999, tau_abs=1e-3, m=0,
+        )
+        trace = solve(problem, config, np.array([0.0])).trace
+        assert trace.early_exit is True
+        assert check_acceptance(trace) == []
+        assert [v.k for v in check_acceptance(replace(trace, early_exit=False))] == [0]
 
     def test_reference_takes_same_early_exit(self):
         problem = make_problem(make_quadratic([[1.0]], [0.6]), make_l0(0.18), 1)

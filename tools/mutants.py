@@ -68,7 +68,7 @@ MUTANTS = [
     (PROX, "grid[zero_idx] = 0.0", "grid[zero_idx] = grid[zero_idx]",
      "tests/test_prox_oracles.py::TestBruteForce::test_grid_is_shared_read_only_and_snaps_zero"),
     # facts stated once: the row count, the quartic's parameters, compare's m rule
-    (SOLVER, "return len(self.trace.records)", "return len(self.trace.records) - 1",
+    (SOLVER, "len(self.trace.records))", "len(self.trace.records) - 1)",
      "tests/test_cli.py::TestRun::test_half_open_box"),
     (CLI, 'configs = [replace(cfg["config"], m=m) for m in args.m]',
      'configs = (replace(cfg["config"], m=m) for m in args.m)',
@@ -106,7 +106,7 @@ MUTANTS = [
      "tests/test_solver.py::TestGamma0Select::test_constant_clamped"),
     (SOLVER, "gamma0 = 1.0", "gamma0 = 0.5",
      "tests/test_solver.py::TestGamma0Select::test_first_iteration_default"),
-    (SOLVER, "early_ks.append(k)", "pass",
+    (SOLVER, "early_exit = True", "pass",
      "tests/test_solver.py::TestEarlyInnerExit::test_near_stationary_candidate_accepted_and_flagged"),
     # the box: np.clip's bits, and membership of every coordinate
     (PROX, "np.asarray(v).clip(lo_v, hi_v)", "np.fmin(np.fmax(v, lo_v), hi_v)",
@@ -158,7 +158,7 @@ MUTANTS = [
     (DIAGNOSTICS, "bound = env[k] - delta * (rec.gamma / 2.0)",
      "bound = env[k] + delta * (rec.gamma / 2.0)",
      "tests/test_diagnostics.py::TestCheckAcceptance::test_bound_subtracts_the_decrease_term"),
-    (DIAGNOSTICS, "for k in range(len(trace.records) - 1):",
+    (DIAGNOSTICS, "for k in range(len(trace.records) - trace.early_exit):",
      "for k in range(len(trace.records) - 2):",
      "tests/test_diagnostics.py::TestCheckAcceptance::test_last_certified_row_is_checked"),
     (DIAGNOSTICS, "for k in range(len(env) - 1)", "for k in range(len(env) - 2)",
@@ -169,8 +169,41 @@ MUTANTS = [
      "tests/test_diagnostics.py::test_window_keeps_its_front_until_it_leaves"),
     (DIAGNOSTICS, "if not psi[k + 1] <= bound + _PSI_TOL:", "if psi[k + 1] > bound + _PSI_TOL:",
      "tests/test_cli.py::TestCheck::test_nan_in_a_certified_column_exits_4_naming_the_row[gamma]"),
-    (DIAGNOSTICS, "    if m < 0:\n", "    if False:\n",
+    (DIAGNOSTICS, "        if operator.index(m) < 0:\n", "        if False:\n",
      "tests/test_diagnostics.py::test_negative_window_is_a_value_error[check_envelope]"),
+    (DIAGNOSTICS, "if operator.index(m) < 0:", "if m < 0:",
+     "tests/test_diagnostics.py::test_negative_window_is_a_value_error[check_acceptance-float]"),
+    (DIAGNOSTICS, "max_gamma=math.nan if any(map(math.isnan, gammas)) else max(gammas),",
+     "max_gamma=max(gammas),",
+     "tests/test_diagnostics.py::TestGammaBoundReport::test_nan_gamma_makes_max_gamma_nan"
+     "[nan_inside]"),
+    # the stepsize rule's fallback, the step-norm exit's gamma guard, and
+    # where the window warning points
+    (SOLVER, "if sy > 0.0 and step_sq", "if sy >= 0.0 and step_sq",
+     "tests/test_solver.py::TestGamma0Select::test_bb_step_in_the_null_space_falls_back"),
+    (SOLVER, "gamma <= config.gamma_max * config.tau", "gamma < config.gamma_max * config.tau",
+     "tests/test_solver.py::TestSolve"
+     "::test_small_step_at_gamma_max_times_tau_ends_converged_step"),
+    (SOLVER, "stacklevel=2", "stacklevel=3",
+     "tests/test_solver.py::TestSolve::test_window_warning_points_at_the_caller"),
+    # the trace states how the run ended, and the checker certifies its last row
+    (DIAGNOSTICS, "range(len(trace.records) - trace.early_exit)", "range(len(trace.records) - 1)",
+     "tests/test_diagnostics.py::TestCheckAcceptance::test_last_row_is_certified_by_psi_final"),
+    (DIAGNOSTICS, "if trace.early_exit and not trace.final_residual <= tau_abs:", "if False:",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_early_exit_row_is_certified_by_its_residual[above_tau_abs]"),
+    (DIAGNOSTICS, " + [trace.psi_final]", "",
+     "tests/test_diagnostics.py::TestCheckAcceptance::test_last_row_is_certified_by_psi_final"),
+    (DIAGNOSTICS, 'or type(early_exit := meta["early_exit"]) is not bool',
+     'or (early_exit := meta["early_exit"]) is None',
+     "tests/test_diagnostics.py::TestTraceCsv::test_rejects_metadata_without_config"
+     "[string_early_exit]"),
+    (SOLVER, "(self.iterations - 1,) if", "(self.iterations,) if",
+     "tests/test_solver.py::TestEarlyInnerExit::test_near_stationary_candidate_accepted_and_flagged"),
+    (CLI, 'print(f"status: {trace.status}")', "pass",
+     "tests/test_cli.py::TestCheck::test_first_line_is_the_status[converged]"),
+    (CLI, "config.max_inner if report.status == STATUS_INNER_CAP", "0 if report.status",
+     "tests/test_cli.py::TestCompare::test_total_inner_counts_prox_calls[quartic_box_inner_cap]"),
     # each module's __all__ is its list of public names
     (CORE, '__all__ = [\n    "as_vector",', '__all__ = [\n    "Vector",\n    "as_vector",',
      "tests/test_core.py::test_public_names_are_pinned"),
