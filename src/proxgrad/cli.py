@@ -48,17 +48,11 @@ import numpy as np
 from . import diagnostics
 from .core import (CompositeProblem, ProxOracle, SmoothOracle, SolverConfig, as_vector,
                    make_problem)
-from .diagnostics import TraceFormatError, read_trace_csv, write_trace_csv
+from .diagnostics import (STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP, STATUS_INNER_CAP,
+                          STATUS_MAX_OUTER, TraceFormatError, read_trace_csv, write_trace_csv)
 from .prox_oracles import make_box, make_l0, make_l1, make_lp_half, make_sphere, make_zero
 from .smooth_oracles import make_logistic, make_quadratic, make_quartic
-from .solver import (
-    STATUS_CONVERGED_RESIDUAL,
-    STATUS_CONVERGED_STEP,
-    STATUS_INNER_CAP,
-    STATUS_MAX_OUTER,
-    SolveReport,
-    solve,
-)
+from .solver import SolveReport, solve
 
 __all__ = ["main", "load_run_config", "build_smooth", "build_prox"]
 

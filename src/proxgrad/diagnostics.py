@@ -53,6 +53,13 @@ _META_PREFIX = "# proxgrad-trace "
 # Slack of the psi comparisons in the acceptance, envelope and level-set checks
 _PSI_TOL = 1e-10
 
+# How a run ends; an inner early exit always ends the first way
+STATUS_CONVERGED_RESIDUAL = "converged_residual"
+STATUS_CONVERGED_STEP = "converged_step"
+STATUS_MAX_OUTER = "max_outer_reached"
+STATUS_INNER_CAP = "inner_loop_cap"
+_STATUSES = (STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP, STATUS_MAX_OUTER, STATUS_INNER_CAP)
+
 
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed into a Trace."""
@@ -133,10 +140,11 @@ def read_trace_csv(path) -> Trace:
 
     The metadata line is required and must hold a valid solver config, the
     problem name, the x0 checksum and the run's end, which the checkers
-    need.  The rows are validated only structurally (field counts, number
-    formats, contiguous indices): semantically corrupted values must still
-    load so the checkers can flag them.  Rows are split on commas,
-    since the writer never quotes; a quoted field is a format error.
+    need: one of the four statuses, with `early_exit` only at
+    ``converged_residual``.  The rows are validated only structurally (field
+    counts, number formats, contiguous indices): semantically corrupted
+    values must still load so the checkers can flag them.  Rows are split on
+    commas, since the writer never quotes; a quoted field is a format error.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -153,6 +161,10 @@ def read_trace_csv(path) -> Trace:
         psi_final, final_residual = float(meta["psi_final"]), float(meta["final_residual"])
         if type(status) is not str or type(early_exit := meta["early_exit"]) is not bool:
             raise TypeError("status must be a string and early_exit a boolean")
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        if early_exit and status != STATUS_CONVERGED_RESIDUAL:
+            raise ValueError(f"an early exit ends {STATUS_CONVERGED_RESIDUAL!r}, not {status!r}")
     except KeyError as exc:
         raise TraceFormatError(f"bad metadata: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad config

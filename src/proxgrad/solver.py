@@ -32,22 +32,19 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CompositeProblem, SolverConfig, Vector, as_vector
-from .diagnostics import IterateRecord, Trace, hash_x0
+from .diagnostics import (STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP, STATUS_INNER_CAP,
+                          STATUS_MAX_OUTER, IterateRecord, Trace, hash_x0)
 
 __all__ = [
     "SolveReport",
     "solve",
 ]
-
-STATUS_CONVERGED_RESIDUAL = "converged_residual"
-STATUS_CONVERGED_STEP = "converged_step"
-STATUS_MAX_OUTER = "max_outer_reached"
-STATUS_INNER_CAP = "inner_loop_cap"
 
 
 @dataclass(frozen=True)
@@ -89,17 +86,23 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
     The starting point must lie in the domain of the nonsmooth term and the
     smooth term must be finite there; otherwise a ValueError names the term
     at fault, as it does a non-finite prox candidate.  Every accepted iterate
-    stays in the initial sublevel set, and each trace row carries the
-    acceptance certificate that produced it.
+    stays in the initial sublevel set, each trace row carries the acceptance
+    certificate that produced it, and the window holds at most m + 1 values.
     """
     x = x0 = as_vector(x0, problem.dimension)
+    f_eval, f_grad = problem.smooth.eval, problem.smooth.grad
+    phi_eval, prox = problem.nonsmooth.eval, problem.nonsmooth.prox
+    m, tau, delta, tau_abs, eps_step = (
+        config.m, config.tau, config.delta, config.tau_abs, config.eps_step)
+    gamma_min, gamma_max, gamma0_value = config.gamma_min, config.gamma_max, config.gamma0_value
+    constant_gamma0, max_inner = config.gamma0_strategy == "constant", config.max_inner
     # one errstate, entered once per solve: an overflow at x0 or at a trial
     # point (the tests below square the step and the residual, so a huge
     # finite one overflows) is met by the finiteness checks, not printed as
     # a numpy warning too
     with np.errstate(all="ignore"):
-        f_x = float(problem.smooth.eval(x))
-        phi_x = float(problem.nonsmooth.eval(x))
+        f_x = float(f_eval(x))
+        phi_x = float(phi_eval(x))
         psi_x = f_x + phi_x
         if not math.isfinite(phi_x):
             raise ValueError("x0 not in the domain of the nonsmooth term: phi(x0) is not finite")
@@ -107,20 +110,20 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
             raise ValueError(f"smooth term {problem.smooth.name!r} is not finite at x0: "
                              f"f(x0) = {f_x} (x0 or the term's data may be too large "
                              "or not finite)")
-        if config.m > 0 and not problem.nonsmooth.continuous_on_domain:
+        if m > 0 and not problem.nonsmooth.continuous_on_domain:
             warnings.warn(
-                f"nonmonotone window m={config.m} with a nonsmooth term that is not "
+                f"nonmonotone window m={m} with a nonsmooth term that is not "
                 "continuous on its domain: the envelope-based convergence guarantees "
                 "do not apply",
                 UserWarning,
                 stacklevel=2,
             )
 
-        grad = problem.smooth.grad(x)
-        # every accepted objective value; the reference is the maximum of the
-        # last min(k, m) + 1, so with m = 0 it is the current one and the test
-        # is plain sufficient decrease
-        psis = [psi_x]
+        grad = f_grad(x)
+        # (index, psi) of the last min(k, m) + 1 accepted values that no later
+        # one exceeds, oldest first: the front is their maximum, the oldest of
+        # tied values as max() gives it, and with m = 0 the current value
+        window = deque([(0, psi_x)])
         records: list[IterateRecord] = []
         early_exit = False
         # after the first step, gamma, the step d, step_sq = <d, d>,
@@ -128,61 +131,64 @@ def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:
         residual = math.inf
 
         for k in range(config.max_outer):
-            if config.gamma0_strategy == "constant":
-                gamma0 = config.gamma0_value
+            if constant_gamma0:
+                gamma0 = gamma0_value
             elif k == 0:
                 gamma0 = 1.0
             else:
                 # the quotient <s, y> / <s, s>, s = d and y = grad - grad_prev
-                sy = float(np.dot(d, grad - grad_prev))
+                sy = float(d.dot(grad - grad_prev))
                 gamma0 = sy / step_sq if sy > 0.0 and step_sq > 0.0 else gamma
-            gamma0 = min(max(gamma0, config.gamma_min), config.gamma_max)
-            psi_ref = max(psis[-config.m - 1:])
+            gamma0 = min(max(gamma0, gamma_min), gamma_max)
+            if window[0][0] < k - m:  # at most one value leaves per step
+                window.popleft()
+            psi_ref = window[0][1]
             gamma = gamma0
-            for i in range(config.max_inner):
-                cand = problem.nonsmooth.prox(gamma, x - grad / gamma)
+            for i in range(max_inner):
+                cand = prox(gamma, x - grad / gamma)
                 d = cand - x
-                step_sq = float(np.dot(d, d))
+                step_sq = float(d.dot(d))
                 # a non-finite coordinate of cand makes step_sq inf or NaN, so the
                 # array check runs whenever it could fail (and on an overflow too)
                 if not math.isfinite(step_sq) and not np.isfinite(cand).all():
                     raise ValueError("prox oracle produced a non-finite candidate")
-                f_cand = float(problem.smooth.eval(cand))
-                phi_cand = float(problem.nonsmooth.eval(cand))
+                f_cand = float(f_eval(cand))
+                phi_cand = float(phi_eval(cand))
                 psi_cand = f_cand + phi_cand
-                grad_cand = problem.smooth.grad(cand)
+                grad_cand = f_grad(cand)
                 r = grad_cand - gamma * d - grad
-                res_cand = math.sqrt(float(np.dot(r, r)))
+                res_cand = math.sqrt(float(r.dot(r)))
                 # a trial with a non-finite psi or gradient is rejected, whatever
                 # the comparisons below would make of its NaN or inf; a finite
                 # residual certifies a finite gradient, as step_sq does cand
                 if math.isfinite(psi_cand) and (
                         math.isfinite(res_cand) or np.isfinite(grad_cand).all()):
-                    if psi_cand <= psi_ref - config.delta * (gamma / 2.0) * step_sq:
+                    if psi_cand <= psi_ref - delta * (gamma / 2.0) * step_sq:
                         break
-                    if res_cand <= config.tau_abs:
+                    if res_cand <= tau_abs:
                         early_exit = True
                         break
-                gamma = gamma * config.tau
+                gamma = gamma * tau
             else:
-                # the last gamma tried is gamma / config.tau
+                # the last gamma tried is gamma / tau
                 status = STATUS_INNER_CAP
                 break
 
             step_norm = math.sqrt(step_sq)
-            records.append(IterateRecord(
-                psi=psi_x, f_val=f_x, phi_val=phi_x, gamma0=gamma0, gamma=gamma,
-                inner_iters=i, step_norm=step_norm, residual=residual, accepted_ref=psi_ref))
+            records.append(IterateRecord(psi_x, f_x, phi_x, gamma0, gamma, i, step_norm,
+                                         residual, psi_ref))
             grad_prev, residual = grad, res_cand
             x, grad = cand, grad_cand
             f_x, phi_x, psi_x = f_cand, phi_cand, psi_cand
-            psis.append(psi_x)
-            if residual <= config.tau_abs:
+            while window and window[-1][1] < psi_x:  # strict: of ties, the oldest stays
+                window.pop()
+            window.append((k + 1, psi_x))
+            if residual <= tau_abs:
                 status = STATUS_CONVERGED_RESIDUAL
                 break
             # the fallback exit is secondary: it fires only when the residual
             # at the new iterate declined to certify
-            if step_norm <= config.eps_step and gamma <= config.gamma_max * config.tau:
+            if step_norm <= eps_step and gamma <= gamma_max * tau:
                 status = STATUS_CONVERGED_STEP
                 break
         else:

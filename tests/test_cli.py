@@ -433,6 +433,21 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: cannot read trace: bad metadata: missing key 'status'\n"
 
+    @pytest.mark.parametrize("end, message", [
+        ({"status": "bogus"}, "unknown status 'bogus'"),
+        ({"status": "max_outer_reached", "early_exit": True},
+         "an early exit ends 'converged_residual', not 'max_outer_reached'"),
+    ], ids=["unknown_status", "early_exit_with_another_status"])
+    def test_run_end_the_solver_cannot_give_exits_1(self, tmp_path, capsys, end, message):
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        rewrite_metadata(trace, lambda meta: {**meta, **end})
+        capsys.readouterr()
+        assert run_cli(["check", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read trace: bad metadata: {message}\n"
+
     def test_empty_file_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"
         trace.write_text("")

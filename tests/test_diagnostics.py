@@ -190,6 +190,15 @@ class TestCheckVanishingSteps:
         with pytest.raises(ValueError, match="10"):
             check_vanishing_steps(synth_trace([1.0, 0.5]), 1e-6)
 
+    def test_ten_rows_are_enough(self):
+        trace = synth_trace([float(-k) for k in range(10)], step_norm=[1.0] * 9 + [0.0])
+        assert check_vanishing_steps(trace, 0.0)
+
+    def test_steps_before_the_last_tenth_do_not_count(self):
+        # of 20 rows the tail is the last 2, so row 0's zero step is outside it
+        trace = synth_trace([float(-k) for k in range(20)], step_norm=[0.0] + [1.0] * 19)
+        assert not check_vanishing_steps(trace, 0.5)
+
 
 class TestCheckGammaStepProduct:
     def test_converged_lasso(self):
@@ -212,6 +221,10 @@ class TestCheckGammaStepProduct:
     def test_requires_ten_rows(self):
         with pytest.raises(ValueError, match="10"):
             check_gamma_step_product(synth_trace([1.0] * 9), 1e-5)
+
+    def test_ten_rows_are_enough(self):
+        trace = synth_trace([float(-k) for k in range(10)], step_norm=[1.0] * 9 + [0.0])
+        assert check_gamma_step_product(trace, 0.0)
 
 
 class TestGammaBoundReport:
@@ -386,8 +399,11 @@ class TestTraceCsv:
          "bad metadata: status must be a string and early_exit a boolean"),
         (lambda meta: {**meta, "status": 0},
          "bad metadata: status must be a string and early_exit a boolean"),
+        (lambda meta: {**meta, "status": "bogus"}, "bad metadata: unknown status 'bogus'"),
+        (lambda meta: {**meta, "status": "max_outer_reached", "early_exit": True},
+         "bad metadata: an early exit ends 'converged_residual', not 'max_outer_reached'"),
     ], ids=["null_config", "no_x0_hash", "no_status", "null_psi_final", "string_early_exit",
-            "number_status"])
+            "number_status", "unknown_status", "early_exit_with_another_status"])
     def test_rejects_metadata_without_config(self, tmp_path, edit, fragment):
         # delta and m come from the trace's config, so a trace must carry one
         trace, _ = lasso_trace()

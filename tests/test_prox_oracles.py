@@ -276,6 +276,22 @@ class TestSphere:
         assert s.eval(p) == 0.0
         assert s.eval(np.array([2.0, 0.0])) == INF
 
+    def test_membership_boundary_is_inclusive(self):
+        # the origin is |0 - r| = r = 1e-9 * max(1, r) off the radius-1e-9 sphere
+        assert make_sphere(1e-9).eval(np.zeros(2)) == 0.0
+
+    def test_membership_tolerance_grows_with_a_radius_above_one(self):
+        # radius 4: the band is 4e-9 wide, not 1e-9 or 2.5e-10
+        s = make_sphere(4.0)
+        assert s.eval(np.array([4.0 + 2e-9, 0.0])) == 0.0
+        assert s.eval(np.array([4.0 + 6e-9, 0.0])) == INF
+
+    def test_membership_tolerance_is_1e_9_below_radius_one(self):
+        # radius 0.5: the band is 1e-9 wide, not 0.5e-9 or 2e-9
+        s = make_sphere(0.5)
+        assert s.eval(np.array([0.5 + 0.75e-9])) == 0.0
+        assert s.eval(np.array([0.5 + 1.5e-9])) == INF
+
 
 class TestBruteForce:
     def test_identity_prox(self):

@@ -11,7 +11,8 @@ from proxgrad.solver import SolverConfig
 from conftest import PROX, SHIPPED, load_shipped, seeded_problem, solve_quiet
 from reference_nonmonotone import reference_nonmonotone_solve
 
-WINDOWS = [1, 5, 10]
+# 10**9 is longer than every run, so no value ever leaves the window
+WINDOWS = [1, 5, 10, 10**9]
 SMOOTH = ["quadratic", "logistic", "quartic", "double_well"]
 
 

@@ -656,6 +656,26 @@ class TestWindowedAcceptance:
         assert engine.trace.records == ref.trace.records
         assert np.array_equal(engine.x_final, ref.x_final)
 
+    @pytest.mark.parametrize("older, newer", [(0.0, -0.0), (-0.0, 0.0)],
+                             ids=["zero_then_minus_zero", "minus_zero_then_zero"])
+    def test_tied_zeros_in_the_window_give_the_older_sign(self, older, newer):
+        # unit steps x_k = k down psi = 1, older, newer, -1, -2; phi is the
+        # zero function written as -0.0, so psi = f + phi keeps f's zero sign.
+        # With m = 1, rows 2 and 3 are tested against the window {older,
+        # newer} and {newer, -1}: max() gives the older of the tied zeros
+        values = {0.0: 1.0, 1.0: older, 2.0: newer, 3.0: -1.0, 4.0: -2.0}
+        smooth = SmoothOracle("steps", lambda x: values.get(float(x[0]), math.inf),
+                              lambda x: np.array([-1.0]))
+        problem = make_problem(smooth, ProxOracle("minus_zero", lambda x: -0.0,
+                                                  lambda gamma, v: v), 1)
+        config = SolverConfig(m=1, gamma0_strategy="constant", gamma0_value=1.0, max_outer=4)
+        engine = solve(problem, config, np.zeros(1))
+        assert [repr(r.accepted_ref) for r in engine.trace.records] == [
+            "1.0", "1.0", repr(older), repr(newer)]
+        ref = reference_nonmonotone_solve(problem, config, np.zeros(1))
+        assert ([repr(astuple(r)) for r in engine.trace.records]
+                == [repr(astuple(r)) for r in ref.trace.records])
+
 
 @pytest.mark.parametrize("prox_name", PROX)
 @pytest.mark.parametrize("smooth_name", ["quadratic", "logistic", "quartic"])

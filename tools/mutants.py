@@ -81,7 +81,7 @@ MUTANTS = [
     (SOLVER, "f\"f(x0) = {f_x} (x0 or the term's data may be too large \"",
      'f"f(x0) = {f_x} (x0 may be too large "',
      "tests/test_cli.py::TestRun::test_bad_config_exits_1_with_one_line_error[A_nan]"),
-    (SOLVER, "gamma = gamma * config.tau", "gamma = gamma * config.tau * config.tau",
+    (SOLVER, "gamma = gamma * tau", "gamma = gamma * tau * tau",
      "tests/test_acceptance.py::test_criterion_08_monotone_nonmonotone_coincidence"),
     # a record's index is its position: written from it, checked on read
     (DIAGNOSTICS, "if parts[0] != str(len(records)):", "if False:",
@@ -98,11 +98,11 @@ MUTANTS = [
      "tests/test_solver.py::TestGamma0Select::test_bb_zero_step_falls_back"),
     (SOLVER, "if sy > 0.0 and step_sq > 0.0 else gamma", "if sy > 0.0 and step_sq > 0.0 else gamma0",
      "tests/test_solver.py::TestGamma0Select::test_fallback_after_backtracking_takes_the_accepted_gamma"),
-    (SOLVER, "psi_ref = max(psis[-config.m - 1:])", "psi_ref = max(psis[-config.m - 1:][1:] or psis)",
+    (SOLVER, "if window[0][0] < k - m:", "if window[0][0] <= k - m:",
      "tests/test_solver.py::TestAcceptanceReference::test_buffer_growth_matches_min_k_m"),
-    (SOLVER, "psi_ref = max(psis[-config.m - 1:])", "psi_ref = psis[-1]",
+    (SOLVER, "psi_ref = window[0][1]", "psi_ref = window[-1][1]",
      "tests/test_solver.py::TestWindowedAcceptance::test_reference_uses_window_maximum"),
-    (SOLVER, "gamma0 = min(max(gamma0, config.gamma_min), config.gamma_max)", "gamma0 = gamma0",
+    (SOLVER, "gamma0 = min(max(gamma0, gamma_min), gamma_max)", "gamma0 = gamma0",
      "tests/test_solver.py::TestGamma0Select::test_constant_clamped"),
     (SOLVER, "gamma0 = 1.0", "gamma0 = 0.5",
      "tests/test_solver.py::TestGamma0Select::test_first_iteration_default"),
@@ -115,11 +115,11 @@ MUTANTS = [
      "inside = bool(((x >= lo_v) & (x <= hi_v)).any())",
      "tests/test_prox_oracles.py::TestBox::test_eval_matches_two_reductions[0.0-0.0]"),
     # every exit tolerance is inclusive, and the outer loop runs max_outer steps
-    (SOLVER, "if residual <= config.tau_abs:", "if residual < config.tau_abs:",
+    (SOLVER, "if residual <= tau_abs:", "if residual < tau_abs:",
      "tests/test_solver.py::TestSolve::test_exit_tolerances_are_inclusive[residual]"),
-    (SOLVER, "if step_norm <= config.eps_step and", "if step_norm < config.eps_step and",
+    (SOLVER, "if step_norm <= eps_step and", "if step_norm < eps_step and",
      "tests/test_solver.py::TestSolve::test_exit_tolerances_are_inclusive[step]"),
-    (SOLVER, "if res_cand <= config.tau_abs:", "if res_cand < config.tau_abs:",
+    (SOLVER, "if res_cand <= tau_abs:", "if res_cand < tau_abs:",
      "tests/test_solver.py::TestEarlyInnerExit::test_inner_tolerance_is_inclusive"),
     (SOLVER, "for k in range(config.max_outer):", "for k in range(config.max_outer + 1):",
      "tests/test_solver.py::TestSolve::test_max_outer_status"),
@@ -181,7 +181,7 @@ MUTANTS = [
     # where the window warning points
     (SOLVER, "if sy > 0.0 and step_sq", "if sy >= 0.0 and step_sq",
      "tests/test_solver.py::TestGamma0Select::test_bb_step_in_the_null_space_falls_back"),
-    (SOLVER, "gamma <= config.gamma_max * config.tau", "gamma < config.gamma_max * config.tau",
+    (SOLVER, "gamma <= gamma_max * tau", "gamma < gamma_max * tau",
      "tests/test_solver.py::TestSolve"
      "::test_small_step_at_gamma_max_times_tau_ends_converged_step"),
     (SOLVER, "stacklevel=2", "stacklevel=3",
@@ -212,6 +212,39 @@ MUTANTS = [
     (CLI, '"load_run_config", "build_smooth"',
      '"load_run_config", "shipped_config_names", "build_smooth"',
      "tests/test_core.py::test_every_export_has_a_caller_in_another_module"),
+    # the engine's window: a monotone deque of (index, psi), written apart
+    # from the checker's, that keeps the oldest of tied values and drops at
+    # most one value per step
+    (SOLVER, "while window and window[-1][1] < psi_x:", "while window and window[-1][1] <= psi_x:",
+     "tests/test_solver.py::TestWindowedAcceptance"
+     "::test_tied_zeros_in_the_window_give_the_older_sign[zero_then_minus_zero]"),
+    (SOLVER, "if window[0][0] < k - m:", "if window[0][0] < k - m - 1:",
+     "tests/test_solver.py::TestAcceptanceReference::test_buffer_growth_matches_min_k_m"),
+    # a trace's run end is one the solver can give
+    (DIAGNOSTICS, "if status not in _STATUSES:", "if False:",
+     "tests/test_diagnostics.py::TestTraceCsv::test_rejects_metadata_without_config"
+     "[unknown_status]"),
+    (DIAGNOSTICS, "if early_exit and status != STATUS_CONVERGED_RESIDUAL:", "if False:",
+     "tests/test_diagnostics.py::TestTraceCsv::test_rejects_metadata_without_config"
+     "[early_exit_with_another_status]"),
+    # the sphere's membership band and the tail checkers' rows
+    (PROX, "if abs(nrm - r) <= _SPHERE", "if abs(nrm - r) < _SPHERE",
+     "tests/test_prox_oracles.py::TestSphere::test_membership_boundary_is_inclusive"),
+    (PROX, "_SPHERE_MEMBERSHIP_RTOL * max(1.0, r)", "_SPHERE_MEMBERSHIP_RTOL / max(1.0, r)",
+     "tests/test_prox_oracles.py::TestSphere"
+     "::test_membership_tolerance_grows_with_a_radius_above_one"),
+    (PROX, "_SPHERE_MEMBERSHIP_RTOL * max(1.0, r)", "_SPHERE_MEMBERSHIP_RTOL * max(2.0, r)",
+     "tests/test_prox_oracles.py::TestSphere::test_membership_tolerance_is_1e_9_below_radius_one"),
+    (DIAGNOSTICS, "    if len(trace.records) < 10:\n"
+                  "        raise ValueError(\"need a trace with at least 10 rows\")\n"
+                  "    return min(_tail([r.step_norm",
+     "    if len(trace.records) <= 10:\n"
+     "        raise ValueError(\"need a trace with at least 10 rows\")\n"
+     "    return min(_tail([r.step_norm",
+     "tests/test_diagnostics.py::TestCheckVanishingSteps::test_ten_rows_are_enough"),
+    (DIAGNOSTICS, "int(len(values) * fraction)", "int(len(values) / fraction)",
+     "tests/test_diagnostics.py::TestCheckVanishingSteps"
+     "::test_steps_before_the_last_tenth_do_not_count"),
 ]
 
 # the tier-1 command, stopping at the first failure
