@@ -12,7 +12,7 @@ Subcommands
     the trace's own config; exit 0 iff all pass (4 when a check fails, 1
     when the file cannot be parsed).
 ``compare <config> --m M [M ...]``
-    Re-run the same problem once per window size and emit a comparison CSV.
+    Re-run the same problem once per window size and print a comparison CSV.
 ``list``
     Print the registered oracle names and shipped configs.
 
@@ -325,14 +325,7 @@ def cmd_compare(args) -> int:
         rows.append(f"{config.m},{report.status},{report.iterations},{total_inner},"
                     f"{report.psi_final:.17g}")
         all_converged = all_converged and _STATUS_EXIT[report.status] == _EXIT_OK
-    lines = [COMPARE_HEADER] + rows
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="ascii")
-        except OSError as exc:
-            raise ValueError(f"cannot write comparison to {args.output}: {exc}") from exc
-    print(text, end="")
+    print("\n".join([COMPARE_HEADER] + rows))
     return _EXIT_OK if all_converged else _EXIT_MAX_OUTER
 
 
@@ -375,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("config", help="path to a JSON run config, or a shipped config name")
     p_cmp.add_argument("--m", type=int, nargs="+", required=True,
                        help="window sizes to run, in output order")
-    p_cmp.add_argument("--output", help="also write the comparison CSV to this path")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_list = sub.add_parser("list", help="show registered oracles and shipped configs")

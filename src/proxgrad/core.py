@@ -1,4 +1,4 @@
-"""Vector coercion, extended-real arithmetic, the composite problem type, and
+"""Vector coercion, extended-real conventions, the composite problem type, and
 the solver configuration.
 
 Points live in plain Euclidean space and are represented as dense 1-D float64
@@ -116,10 +116,7 @@ class CompositeProblem:
         return f"{self.smooth.name}+{self.nonsmooth.name}"
 
 
-def make_problem(smooth: SmoothOracle, nonsmooth: ProxOracle,
-                 dimension: int) -> CompositeProblem:
-    """Pair a smooth and a nonsmooth oracle on vectors of `dimension`."""
-    return CompositeProblem(smooth, nonsmooth, dimension)
+make_problem = CompositeProblem
 
 
 GAMMA0_STRATEGIES = ("constant", "bb_safeguarded")

@@ -240,13 +240,17 @@ def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
     with the window maxima recomputed from the psi column and psi[n] =
     `psi_final`; delta is the trace's, and so is m unless given.  An
     `early_exit` last row asserts ``final_residual <= tau_abs`` instead.
-    Returns an empty list iff the trace passes.
+    Every row's residual must fail the engine's stop test ``residual <=
+    tau_abs``, or the run would have stopped at that iterate.  Returns an
+    empty list iff the trace passes.
     """
     delta, tau_abs = trace.config_echo.delta, trace.config_echo.tau_abs
     m = trace.config_echo.m if m is None else m
     psi = [r.psi for r in trace.records] + [trace.psi_final]
     env = _window_maxima(psi, m)
-    violations = []
+    violations = [Violation(k=k, detail=f"residual {rec.residual:.17g} <= tau_abs "
+                                        f"{tau_abs:.17g}: the run stops at this iterate")
+                  for k, rec in enumerate(trace.records) if rec.residual <= tau_abs]
     for k in range(len(trace.records) - trace.early_exit):
         rec = trace.records[k]
         bound = env[k] - delta * (rec.gamma / 2.0) * rec.step_norm**2

@@ -395,6 +395,22 @@ class TestCheck:
         assert "check_acceptance: FAIL" in out
         assert f"  row {row}: " in out
 
+    def test_residual_within_tau_abs_exits_4_naming_the_row(self, tmp_path, capsys):
+        # the run would have stopped at row 3's iterate
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "logistic_l1", "--output", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        parts = lines[5].split(",")  # row 3, after the metadata line and the header
+        parts[8] = "1e-12"
+        lines[5] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["check", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "check_acceptance: FAIL (1 violations)" in out
+        assert "  row 3: residual 9.9999999999999998e-13 <= tau_abs " in out
+
     @pytest.mark.parametrize("overrides, status", [
         ({}, "converged_residual"),
         (INNER_CAP, "inner_loop_cap"),
@@ -576,13 +592,14 @@ class TestCompare:
         assert run_cli(["compare", "quartic_l0", "--m", "0", "5", "1"]) == 0
         assert capsys.readouterr().err == WINDOW_WARNING.format(5) + WINDOW_WARNING.format(1)
 
-    def test_comparison_csv_written(self, tmp_path, capsys, monkeypatch):
+    def test_output_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the table goes to stdout only; argparse rejects the flag before any solve
         monkeypatch.chdir(tmp_path)
-        out_csv = tmp_path / "cmp.csv"
-        code = run_cli(["compare", "lasso_small", "--m", "0", "--output", str(out_csv)])
-        printed = capsys.readouterr().out
-        assert code == 0
-        assert out_csv.read_text() == printed
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["compare", "lasso_small", "--m", "0", "--output", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --output x" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("overrides, status", [
         ({"solver.max_outer": 3}, "max_outer_reached"),
@@ -625,15 +642,6 @@ class TestCompare:
         assert (captured.out, captured.err) == (
             "", "error: m must be a nonnegative integer, got -1\n")
         assert list(tmp_path.iterdir()) == []
-
-    def test_unwritable_output_exits_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "missing" / "cmp.csv"
-        assert run_cli(["compare", "lasso_small", "--m", "0", "--output", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot write comparison to {out}: ")
-        assert captured.err.count("\n") == 1
 
 
 class TestList:

@@ -49,6 +49,10 @@ def test_problem_dimension_must_be_positive(dimension):
         make_problem(make_quartic(), make_zero(), dimension)
 
 
+def test_make_problem_is_the_dataclass():
+    assert proxgrad.make_problem is proxgrad.CompositeProblem
+
+
 PUBLIC_NAMES = [
     "CompositeProblem", "GammaBoundReport",
     "IterateRecord", "ProxOracle",

@@ -92,6 +92,17 @@ class TestCheckAcceptance:
                                     early_exit=True)
         assert [(v.k, v.detail) for v in check_acceptance(trace)] == want
 
+    def test_row_whose_residual_passed_the_stop_test_is_flagged(self):
+        # the engine stops at an iterate whose residual is within tau_abs, the
+        # bound included, so no recorded row may show one
+        trace, config = lasso_trace()
+        records = list(trace.records)
+        records[5] = dataclasses.replace(records[5], residual=config.tau_abs)
+        bad = dataclasses.replace(trace, records=tuple(records))
+        assert [(v.k, v.detail) for v in check_acceptance(bad)] == [
+            (5, "residual 9.9999999999999995e-07 <= tau_abs 9.9999999999999995e-07: "
+                "the run stops at this iterate")]
+
 
 class TestCheckEnvelope:
     def test_decreasing_sequence(self):
@@ -249,6 +260,23 @@ class TestGammaBoundReport:
     def test_nan_gamma_makes_max_gamma_nan(self, gamma):
         # max() skips a NaN after the first value, so the position must not matter
         assert math.isnan(gamma_bound_report(synth_trace([3.0, 2.0, 1.0], gamma=gamma)).max_gamma)
+
+    # with tau = 2 and gamma_max = 1, a gamma above 2 shows growth
+    GROWTH = SolverConfig(tau=2.0, gamma_max=1.0)
+
+    def test_trend_reads_only_the_last_quarter(self):
+        trace = synth_trace([float(-k) for k in range(8)], gamma=[1.0] * 6 + [3.0] * 2,
+                            config=self.GROWTH)
+        assert gamma_bound_report(trace).trend_flag is True
+
+    def test_gamma_at_tau_times_gamma_max_is_not_a_trend(self):
+        trace = synth_trace([float(-k) for k in range(8)], gamma=[2.0] * 8, config=self.GROWTH)
+        assert gamma_bound_report(trace).trend_flag is False
+
+    def test_short_trace_trend_reads_its_last_row(self):
+        # a quarter of 4 rows is one row
+        trace = synth_trace([3.0, 2.0, 1.0, 0.0], gamma=[1.0, 1.0, 1.0, 3.0], config=self.GROWTH)
+        assert gamma_bound_report(trace).trend_flag is True
 
 
 class TestTraceCsv:

@@ -340,6 +340,23 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_prox(lambda x: 0.0 * x, 1.0, 0.0, lo=1.0, hi=0.0, step=0.1)
 
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1.0, 1.0, 0.1),
+    ], ids=["zero_step", "negative_step", "lo_equal_hi"])
+    def test_argument_check_names_the_bad_grid(self, lo, hi, step):
+        # each is caught by the argument check, not by a later division or
+        # an empty grid
+        with pytest.raises(ValueError, match="^need lo < hi and step > 0$"):
+            brute_force_prox(lambda x: 0.0 * x, 1.0, 0.0, lo=lo, hi=hi, step=step)
+
+    def test_grid_count_ends_at_hi(self):
+        # v beyond the grid lands on its last point, which is hi exactly
+        assert brute_force_prox(lambda x: 0.0 * x, 1.0, 5.0, lo=-1.0, hi=1.0, step=0.25) == 1.0
+
+    @pytest.mark.parametrize("v, end", [(-100.0, -10.0), (100.0, 10.0)], ids=["lo", "hi"])
+    def test_default_bounds_are_plus_minus_ten(self, v, end):
+        assert brute_force_prox(lambda x: 0.0 * x, 1.0, v) == pytest.approx(end, abs=1e-12)
+
 
 @pytest.mark.parametrize("make, value, fragment", [
     (make, value, "lam must be finite and >= 0")

@@ -86,7 +86,7 @@ MUTANTS = [
     # a record's index is its position: written from it, checked on read
     (DIAGNOSTICS, "if parts[0] != str(len(records)):", "if False:",
      "tests/test_diagnostics.py::TestTraceCsv::test_rejects_noncontiguous_indices"),
-    (DIAGNOSTICS, "enumerate(trace.records)", "enumerate(trace.records, 1)",
+    (DIAGNOSTICS, "enumerate(trace.records):", "enumerate(trace.records, 1):",
      "tests/test_diagnostics.py::TestTraceCsv::test_round_trip_identity"),
     # the grid oracle has one code path, and a huge x0 is a config error
     (PROX, "if phi_vals.shape != grid.shape:", "if False:",
@@ -245,6 +245,43 @@ MUTANTS = [
     (DIAGNOSTICS, "int(len(values) * fraction)", "int(len(values) / fraction)",
      "tests/test_diagnostics.py::TestCheckVanishingSteps"
      "::test_steps_before_the_last_tenth_do_not_count"),
+    # the grid oracle's argument check, grid count and default bounds
+    (PROX, "if not (lo < hi) or step <= 0:", "if not (lo < hi) and step <= 0:",
+     "tests/test_prox_oracles.py::TestBruteForce::test_argument_check_names_the_bad_grid"
+     "[negative_step]"),
+    (PROX, "or step <= 0:", "or step < 0:",
+     "tests/test_prox_oracles.py::TestBruteForce::test_argument_check_names_the_bad_grid"
+     "[zero_step]"),
+    (PROX, "if not (lo < hi)", "if not (lo <= hi)",
+     "tests/test_prox_oracles.py::TestBruteForce::test_argument_check_names_the_bad_grid"
+     "[lo_equal_hi]"),
+    (PROX, "+ 1e-9)) + 1", "+ 1e-9)) - 1",
+     "tests/test_prox_oracles.py::TestBruteForce::test_grid_count_ends_at_hi"),
+    (PROX, "lo: float = -10.0,", "lo: float = -9.0,",
+     "tests/test_prox_oracles.py::TestBruteForce::test_default_bounds_are_plus_minus_ten[lo]"),
+    (PROX, "hi: float = 10.0,", "hi: float = 11.0,",
+     "tests/test_prox_oracles.py::TestBruteForce::test_default_bounds_are_plus_minus_ten[hi]"),
+    # the growth report's tail: a quarter of the rows, at least one, strictly above
+    (DIAGNOSTICS, "_tail(gammas, fraction=0.25)", "_tail(gammas, fraction=1.25)",
+     "tests/test_diagnostics.py::TestGammaBoundReport::test_trend_reads_only_the_last_quarter"),
+    (DIAGNOSTICS, "g > tau * gamma_max", "g >= tau * gamma_max",
+     "tests/test_diagnostics.py::TestGammaBoundReport"
+     "::test_gamma_at_tau_times_gamma_max_is_not_a_trend"),
+    (DIAGNOSTICS, "n = max(1, int(", "n = max(2, int(",
+     "tests/test_diagnostics.py::TestGammaBoundReport::test_short_trace_trend_reads_its_last_row"),
+    # no recorded row passed the engine's stop test
+    (DIAGNOSTICS, "if rec.residual <= tau_abs]", "if rec.residual < tau_abs]",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_row_whose_residual_passed_the_stop_test_is_flagged"),
+    (DIAGNOSTICS, "if rec.residual <= tau_abs]", "if False]",
+     "tests/test_cli.py::TestCheck::test_residual_within_tau_abs_exits_4_naming_the_row"),
+    # one name for the problem type, and one writer of the comparison table
+    (CORE, "make_problem = CompositeProblem",
+     "make_problem = lambda *args, **kwargs: CompositeProblem(*args, **kwargs)",
+     "tests/test_core.py::test_make_problem_is_the_dataclass"),
+    (CLI, "    p_cmp.set_defaults(func=cmd_compare)",
+     '    p_cmp.add_argument("--output")\n    p_cmp.set_defaults(func=cmd_compare)',
+     "tests/test_cli.py::TestCompare::test_output_flag_is_a_usage_error"),
 ]
 
 # the tier-1 command, stopping at the first failure
