@@ -35,6 +35,7 @@ deterministic across invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,17 +43,16 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import diagnostics
 from .core import (CompositeProblem, ProxOracle, SmoothOracle, SolverConfig, as_vector,
                    make_problem)
 from .diagnostics import (STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP, STATUS_INNER_CAP,
                           STATUS_MAX_OUTER, TraceFormatError, read_trace_csv, write_trace_csv)
-from .prox_oracles import make_box, make_l0, make_l1, make_lp_half, make_sphere, make_zero
-from .smooth_oracles import make_logistic, make_quadratic, make_quartic
-from .solver import SolveReport, solve
+
+if TYPE_CHECKING:  # the commands that solve import the engine
+    from .solver import SolveReport
 
 __all__ = ["main", "load_run_config", "build_smooth", "build_prox"]
 
@@ -98,20 +98,23 @@ def _section(value, where: str) -> dict:
     return value
 
 
-# name -> (constructor, parameters, array parameters), read by `_build_oracle`
-_SMOOTH_REGISTRY = {
-    "quadratic": (make_quadratic, ("A", "b"), ("A",)),
-    "quartic": (make_quartic, (), ()),
-    "logistic": (make_logistic, ("A", "labels"), ("A", "labels")),
-}
-_PROX_REGISTRY = {
-    "zero": (make_zero, (), ()),
-    "l1": (make_l1, ("lam",), ()),
-    "l0": (make_l0, ("lam",), ()),
-    "lp_half": (make_lp_half, ("lam",), ()),
-    "box": (make_box, ("lo", "hi"), ("lo", "hi")),
-    "sphere": (make_sphere, ("radius",), ()),
-}
+@functools.cache
+def _registries() -> dict:
+    """kind -> name -> (constructor, parameters, array parameters); built once."""
+    from .prox_oracles import make_box, make_l0, make_l1, make_lp_half, make_sphere, make_zero
+    from .smooth_oracles import make_logistic, make_quadratic, make_quartic
+    return {"smooth": {
+        "quadratic": (make_quadratic, ("A", "b"), ("A",)),
+        "quartic": (make_quartic, (), ()),
+        "logistic": (make_logistic, ("A", "labels"), ("A", "labels")),
+    }, "prox": {
+        "zero": (make_zero, (), ()),
+        "l1": (make_l1, ("lam",), ()),
+        "l0": (make_l0, ("lam",), ()),
+        "lp_half": (make_lp_half, ("lam",), ()),
+        "box": (make_box, ("lo", "hi"), ("lo", "hi")),
+        "sphere": (make_sphere, ("radius",), ()),
+    }}
 
 
 def _numbers(value, where: str):
@@ -128,10 +131,12 @@ def _numbers(value, where: str):
     return value
 
 
-def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
-    """Construct `registry[name]` from config-file `params`: its constructor
-    takes its parameters in order, and its first array parameter's last axis
-    has the problem's `dimension`."""
+def _build_oracle(kind: str, name: str, params, dimension: int):
+    """Construct the `kind` oracle `name` from config-file `params`: its
+    constructor takes its parameters in order, and its first array
+    parameter's last axis has the problem's `dimension`."""
+    import numpy as np
+    registry = _registries()[kind]
     if not isinstance(name, str) or name not in registry:
         known = ", ".join(sorted(registry))
         raise ValueError(f"unknown {kind} oracle {name!r} (known: {known})")
@@ -164,12 +169,12 @@ def _build_oracle(kind: str, registry: dict, name: str, params, dimension: int):
 
 def build_smooth(name: str, params: dict, dimension: int) -> SmoothOracle:
     """Construct a registered smooth oracle from config-file parameters."""
-    return _build_oracle("smooth", _SMOOTH_REGISTRY, name, params, dimension)
+    return _build_oracle("smooth", name, params, dimension)
 
 
 def build_prox(name: str, params: dict, dimension: int) -> ProxOracle:
     """Construct a registered prox oracle from config-file parameters."""
-    return _build_oracle("prox", _PROX_REGISTRY, name, params, dimension)
+    return _build_oracle("prox", name, params, dimension)
 
 
 def load_run_config(path: Path) -> dict:
@@ -178,6 +183,7 @@ def load_run_config(path: Path) -> dict:
 
     Raises ValueError with a diagnostic message on any invalid entry.
     """
+    import numpy as np
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -231,6 +237,7 @@ def load_run_config(path: Path) -> dict:
 def _run_one(problem: CompositeProblem, config: SolverConfig, x0, out: Path) -> SolveReport:
     """Solve once and write the trace to `out`.  Each warning of the solve
     prints as one ``warning:`` line, before any error this raises."""
+    from .solver import solve
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -330,15 +337,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_list(args) -> int:
-    print("smooth oracles:")
-    for name in sorted(_SMOOTH_REGISTRY):
-        print(f"  {name}")
-    print("prox oracles:")
-    for name in sorted(_PROX_REGISTRY):
-        print(f"  {name}")
-    print("shipped configs:")
-    for name in shipped_config_names():
-        print(f"  {name}")
+    for title, names in (("smooth oracles", _registries()["smooth"]),
+                         ("prox oracles", _registries()["prox"]),
+                         ("shipped configs", shipped_config_names())):
+        print(f"{title}:")
+        for name in sorted(names):
+            print(f"  {name}")
     return _EXIT_OK
 
 

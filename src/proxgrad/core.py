@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "as_vector",
     "SmoothOracle",
@@ -34,7 +32,7 @@ __all__ = [
     "SolverConfig",
 ]
 
-Vector = np.ndarray
+Vector = "numpy.ndarray"  # for annotations only, so that this module loads no numpy
 
 
 def as_vector(x, dimension: int | None = None) -> Vector:
@@ -46,6 +44,7 @@ def as_vector(x, dimension: int | None = None) -> Vector:
         If `x` is not one-dimensional, has an entry that is not a number or
         not finite, is empty, or does not match `dimension`.
     """
+    import numpy as np
     try:
         v = np.asarray(x, dtype=np.float64)
     except (TypeError, OverflowError) as exc:  # e.g. a dict entry, or an int past 1e308

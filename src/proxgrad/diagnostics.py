@@ -18,15 +18,12 @@ quantity entered the prescribed band.  Safe for concurrent batch use.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import SolverConfig
 
@@ -98,12 +95,6 @@ class Trace:
     psi_final: float
     final_residual: float
     early_exit: bool
-
-
-def hash_x0(x0) -> str:
-    """Short deterministic checksum of a starting point."""
-    text = ",".join(["%.17g" % c for c in np.asarray(x0, dtype=np.float64).tolist()])
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 # One trace row; "%.17g" gives the bytes of format(value, ".17g").  The
@@ -241,16 +232,28 @@ def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
     `psi_final`; delta is the trace's, and so is m unless given.  An
     `early_exit` last row asserts ``final_residual <= tau_abs`` instead.
     Every row's residual must fail the engine's stop test ``residual <=
-    tau_abs``, or the run would have stopped at that iterate.  Returns an
-    empty list iff the trace passes.
+    tau_abs``, or the run would have stopped at that iterate.  Every row's
+    gamma must equal its gamma0 multiplied by tau once per rejected trial, in
+    the engine's order, with ``0 <= inner_iters < max_inner`` trials
+    rejected.  Returns an empty list iff the trace passes.
     """
     delta, tau_abs = trace.config_echo.delta, trace.config_echo.tau_abs
+    tau, max_inner = trace.config_echo.tau, trace.config_echo.max_inner
     m = trace.config_echo.m if m is None else m
     psi = [r.psi for r in trace.records] + [trace.psi_final]
     env = _window_maxima(psi, m)
     violations = [Violation(k=k, detail=f"residual {rec.residual:.17g} <= tau_abs "
                                         f"{tau_abs:.17g}: the run stops at this iterate")
                   for k, rec in enumerate(trace.records) if rec.residual <= tau_abs]
+    for k, rec in enumerate(trace.records):
+        gamma, trials = rec.gamma0, rec.inner_iters
+        counted = 0 <= trials < max_inner
+        for _ in range(trials if counted else 0):  # one product per rejected trial, in order
+            gamma = gamma * tau
+        if not (counted and gamma == rec.gamma):
+            violations.append(Violation(k=k, detail=(
+                f"gamma {rec.gamma:.17g} is not gamma0 {rec.gamma0:.17g} after "
+                f"{trials} of at most {max_inner - 1} backtracking steps")))
     for k in range(len(trace.records) - trace.early_exit):
         rec = trace.records[k]
         bound = env[k] - delta * (rec.gamma / 2.0) * rec.step_norm**2

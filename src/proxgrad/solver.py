@@ -30,6 +30,7 @@ concurrently.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from collections import deque
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core import CompositeProblem, SolverConfig, Vector, as_vector
 from .diagnostics import (STATUS_CONVERGED_RESIDUAL, STATUS_CONVERGED_STEP, STATUS_INNER_CAP,
-                          STATUS_MAX_OUTER, IterateRecord, Trace, hash_x0)
+                          STATUS_MAX_OUTER, IterateRecord, Trace)
 
 __all__ = [
     "SolveReport",
@@ -64,6 +65,12 @@ class SolveReport:
     final_residual = property(lambda self: self.trace.final_residual)
     iterations = property(lambda self: len(self.trace.records))
     early_exit_ks = property(lambda self: (self.iterations - 1,) if self.trace.early_exit else ())
+
+
+def hash_x0(x0) -> str:
+    """Short deterministic checksum of a starting point."""
+    text = ",".join(["%.17g" % c for c in np.asarray(x0, dtype=np.float64).tolist()])
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 def solve(problem: CompositeProblem, config: SolverConfig, x0) -> SolveReport:

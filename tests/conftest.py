@@ -10,7 +10,8 @@ from proxgrad.prox_oracles import make_box, make_l0, make_l1, make_lp_half, make
 from proxgrad.smooth_oracles import make_logistic, make_quadratic, make_quartic
 from proxgrad.solver import SolverConfig, solve
 
-SHIPPED = ["lasso_small", "quartic_box", "quartic_l0", "logistic_l1", "sphere_quadratic"]
+SHIPPED = ["lasso_small", "quartic_box", "quartic_l0", "logistic_l1", "sphere_quadratic",
+           "lasso_window"]
 PROX = ["zero", "l1", "l0", "lp_half", "box", "sphere"]
 
 

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from proxgrad.diagnostics import IterateRecord, Trace, hash_x0
-from proxgrad.solver import SolveReport
+from proxgrad.diagnostics import IterateRecord, Trace
+from proxgrad.solver import SolveReport, hash_x0
 
 
 def _clamp(value, lo, hi):

@@ -411,6 +411,23 @@ class TestCheck:
         assert "check_acceptance: FAIL (1 violations)" in out
         assert "  row 3: residual 9.9999999999999998e-13 <= tau_abs " in out
 
+    def test_gamma_not_backtracked_from_gamma0_exits_4_naming_the_row(self, tmp_path, capsys):
+        # row 3's gamma no longer follows from its gamma0 and trial count
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "quartic_box", "--output", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        parts = lines[5].split(",")  # row 3, after the metadata line and the header
+        parts[4], parts[6] = "12345", "7"
+        lines[5] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["check", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "check_acceptance: FAIL (1 violations)" in out
+        assert (f"  row 3: gamma {float(parts[5]):.17g} is not gamma0 12345 after 7 of at most "
+                "99 backtracking steps\n") in out
+
     @pytest.mark.parametrize("overrides, status", [
         ({}, "converged_residual"),
         (INNER_CAP, "inner_loop_cap"),
@@ -661,12 +678,27 @@ class TestList:
         assert first == second
 
 
-def run_module(args) -> subprocess.CompletedProcess:
-    """`python -m proxgrad ARGS` in a fresh process; it sees stderr that pytest would capture."""
+def run_module(args, flags=()) -> subprocess.CompletedProcess:
+    """`python FLAGS -m proxgrad ARGS` in a fresh process; it sees stderr that
+    pytest would capture."""
     src = str(Path(proxgrad.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "proxgrad", *args], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-m", "proxgrad", *args], capture_output=True,
                           text=True, env=env)
+
+
+def test_check_loads_neither_numpy_nor_the_engine(tmp_path):
+    # `check` reads and compares floats: its imports are core, diagnostics and cli
+    trace = tmp_path / "t.csv"
+    assert run_cli(["run", "quartic_box", "--output", str(trace)]) == 0
+    proc = run_module(["check", str(trace)], flags=("-X", "importtime"))
+    assert proc.returncode == 0
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"proxgrad.core", "proxgrad.diagnostics", "proxgrad.cli"} <= loaded
+    unwanted = {"numpy", "hashlib", "proxgrad.solver", "proxgrad.prox_oracles",
+                "proxgrad.smooth_oracles"}
+    assert sorted(m for m in loaded if m.split(".")[0] == "numpy" or m in unwanted) == []
 
 
 def test_python_dash_m_matches_main(capsys):

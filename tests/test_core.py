@@ -2,8 +2,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -103,14 +107,48 @@ def _module_all(module):
 
 
 def test_package_names_are_in_their_module_all():
-    # __init__ star-imports exactly these modules, so their __all__ lists are
-    # the public names, each listed in one module
-    tree = ast.parse(Path(proxgrad.__file__).read_text(encoding="utf-8"))
-    imported = [(node.level, node.module, [alias.name for alias in node.names])
-                for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imported == [(1, module, ["*"]) for module in PACKAGE_MODULES]
+    # __init__ resolves its names from exactly these modules' __all__ lists,
+    # so they are the public names, each listed in one module and resolved to
+    # that module's object
+    assert proxgrad._MODULES == tuple(PACKAGE_MODULES)
     exported = [name for module in PACKAGE_MODULES for name in _module_all(module)]
+    assert proxgrad.__all__ == exported
     assert sorted(exported) == PUBLIC_NAMES
+    for module in PACKAGE_MODULES:
+        for name in _module_all(module):
+            assert getattr(proxgrad, name) is getattr(importlib.import_module(
+                f"proxgrad.{module}"), name)
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from proxgrad import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+# in a fresh interpreter: what `import proxgrad` loads, what dir() lists
+# before any name is resolved, and each name resolved once
+FRESH_PACKAGE = """
+import json, sys, types
+import proxgrad
+loaded = sorted(m for m in sys.modules if m.startswith("proxgrad."))
+listed = sorted(n for n in dir(proxgrad) if not n.startswith("_"))
+resolved = sorted(n for n in listed if not isinstance(getattr(proxgrad, n), types.ModuleType))
+print(json.dumps({"loaded": loaded, "listed": listed, "resolved": resolved}))
+"""
+
+
+def test_each_public_name_resolves_in_a_fresh_interpreter():
+    # a lazy name is imported only when asked for, so an import error in one
+    # would hide from a process that has already imported every module
+    src = str(Path(proxgrad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", FRESH_PACKAGE], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["loaded"] == []
+    assert seen["listed"] == seen["resolved"] == PUBLIC_NAMES
 
 
 # exported for use outside the package: the independent verification oracles,

@@ -16,12 +16,11 @@ from proxgrad.diagnostics import (
     check_level_set,
     check_vanishing_steps,
     gamma_bound_report,
-    hash_x0,
     read_trace_csv,
     write_trace_csv,
 )
-from proxgrad.diagnostics import _window_maxima
-from proxgrad.solver import SolverConfig, solve
+from proxgrad.diagnostics import _PSI_TOL, _window_maxima
+from proxgrad.solver import SolverConfig, hash_x0, solve
 
 from conftest import load_shipped, solve_quiet, synth_trace
 
@@ -103,6 +102,36 @@ class TestCheckAcceptance:
             (5, "residual 9.9999999999999995e-07 <= tau_abs 9.9999999999999995e-07: "
                 "the run stops at this iterate")]
 
+    def test_psi_tol_tie_passes_acceptance(self):
+        # row 0's bound is psi[0] (a zero step), and psi[1] lies on bound + _PSI_TOL
+        assert check_acceptance(synth_trace([1.0, 1.0 + _PSI_TOL])) == []
+
+    @staticmethod
+    def backtracked(gamma0, gamma, inner_iters, config):
+        """A two-row trace whose row 0 went from gamma0 to gamma in inner_iters trials."""
+        trace = synth_trace([2.0, 1.0], config=config)
+        row = dataclasses.replace(trace.records[0], gamma0=gamma0, gamma=gamma,
+                                  inner_iters=inner_iters)
+        return dataclasses.replace(trace, records=(row,) + trace.records[1:])
+
+    def test_gamma_is_gamma0_times_tau_per_trial_in_the_engines_order(self):
+        # four multiplications by 1.1 round to another double than 1.1**4 does
+        config = SolverConfig(tau=1.1)
+        gamma = 1.0 * 1.1 * 1.1 * 1.1 * 1.1
+        assert gamma != 1.1**4
+        assert check_acceptance(self.backtracked(1.0, gamma, 4, config)) == []
+        assert [(v.k, v.detail) for v in check_acceptance(
+            self.backtracked(1.0, 1.1**4, 4, config))] == [
+            (0, "gamma 1.4641000000000004 is not gamma0 1 after 4 of at most 99 "
+                "backtracking steps")]
+
+    @pytest.mark.parametrize("inner_iters, gamma, flagged", [
+        (9, 2.0**9, False), (10, 2.0**10, True), (-1, 1.0, True),
+    ], ids=["last_trial", "max_inner", "negative"])
+    def test_inner_iters_lies_below_max_inner(self, inner_iters, gamma, flagged):
+        trace = self.backtracked(1.0, gamma, inner_iters, SolverConfig(max_inner=10))
+        assert [v.k for v in check_acceptance(trace)] == ([0] if flagged else [])
+
 
 class TestCheckEnvelope:
     def test_decreasing_sequence(self):
@@ -114,6 +143,9 @@ class TestCheckEnvelope:
 
     def test_rise_at_the_last_pair_is_flagged(self):
         assert not check_envelope(synth_trace([3.0, 2.0, 4.0]), m=0)
+
+    def test_psi_tol_tie_passes_envelope(self):
+        assert check_envelope(synth_trace([1.0, 1.0 + _PSI_TOL]), m=0)
 
     def test_shipped_runs_with_window(self):
         for name in ("lasso_small", "quartic_box", "logistic_l1"):
@@ -176,6 +208,9 @@ class TestCheckLevelSet:
 
     def test_single_row(self):
         assert check_level_set(synth_trace([1.0]))
+
+    def test_psi_tol_tie_passes_level_set(self):
+        assert check_level_set(synth_trace([1.0, 1.0 + _PSI_TOL]))
 
     def test_injected_rise_detected(self):
         trace = synth_trace([2.0, 1.5, 1.0, 1.4, 0.5])

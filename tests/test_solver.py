@@ -676,6 +676,21 @@ class TestWindowedAcceptance:
         assert ([repr(astuple(r)) for r in engine.trace.records]
                 == [repr(astuple(r)) for r in ref.trace.records])
 
+    def test_lasso_window_config_is_decided_by_the_window(self):
+        # the shipped config where the window changes the run: monotone, psi
+        # never rises; with the shipped m = 5 it rises 9 times, and the run
+        # takes fewer iterations and trials
+        cfg = load_shipped("lasso_window")
+        assert cfg["config"].m == 5
+        runs = {}
+        for m in (0, 5):
+            report = solve(cfg["problem"], replace(cfg["config"], m=m), cfg["x0"])
+            psi = [r.psi for r in report.trace.records] + [report.psi_final]
+            runs[m] = (report.status, report.iterations,
+                       sum(r.inner_iters + 1 for r in report.trace.records),
+                       sum(b > a for a, b in zip(psi, psi[1:])))
+        assert runs == {0: ("converged_residual", 48, 78, 0), 5: ("converged_residual", 41, 44, 9)}
+
 
 @pytest.mark.parametrize("prox_name", PROX)
 @pytest.mark.parametrize("smooth_name", ["quadratic", "logistic", "quartic"])

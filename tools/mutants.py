@@ -18,7 +18,7 @@ a stale entry can never count as killed.  All entries are matched before
 any suite runs.  Exit status: 0 when every mutant is killed, 1 when one
 survives, 2 on a harness error.  The harness is not part of tier-1: it runs
 the suite once unmutated and once per mutant, up to about 12 s each on a
-2-core host (about 4 min in all, since ``-x`` stops at the first failure).
+2-core host (about 5 min in all, since ``-x`` stops at the first failure).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ PROX = "src/proxgrad/prox_oracles.py"
 DIAGNOSTICS = "src/proxgrad/diagnostics.py"
 CORE = "src/proxgrad/core.py"
 SMOOTH = "src/proxgrad/smooth_oracles.py"
+INIT = "src/proxgrad/__init__.py"
 
 MUTANTS = [
     # the stationarity residual, computed once per trial and carried
@@ -86,7 +87,8 @@ MUTANTS = [
     # a record's index is its position: written from it, checked on read
     (DIAGNOSTICS, "if parts[0] != str(len(records)):", "if False:",
      "tests/test_diagnostics.py::TestTraceCsv::test_rejects_noncontiguous_indices"),
-    (DIAGNOSTICS, "enumerate(trace.records):", "enumerate(trace.records, 1):",
+    (DIAGNOSTICS, "for k, r in enumerate(trace.records):",
+     "for k, r in enumerate(trace.records, 1):",
      "tests/test_diagnostics.py::TestTraceCsv::test_round_trip_identity"),
     # the grid oracle has one code path, and a huge x0 is a config error
     (PROX, "if phi_vals.shape != grid.shape:", "if False:",
@@ -282,6 +284,41 @@ MUTANTS = [
     (CLI, "    p_cmp.set_defaults(func=cmd_compare)",
      '    p_cmp.add_argument("--output")\n    p_cmp.set_defaults(func=cmd_compare)',
      "tests/test_cli.py::TestCompare::test_output_flag_is_a_usage_error"),
+    # the three psi comparisons accept an exact tie at _PSI_TOL
+    (DIAGNOSTICS, "if not psi[k + 1] <= bound + _PSI_TOL:", "if not psi[k + 1] < bound + _PSI_TOL:",
+     "tests/test_diagnostics.py::TestCheckAcceptance::test_psi_tol_tie_passes_acceptance"),
+    (DIAGNOSTICS, "env[k + 1] <= env[k] + _PSI_TOL", "env[k + 1] < env[k] + _PSI_TOL",
+     "tests/test_diagnostics.py::TestCheckEnvelope::test_psi_tol_tie_passes_envelope"),
+    (DIAGNOSTICS, "p <= psi[0] + _PSI_TOL", "p < psi[0] + _PSI_TOL",
+     "tests/test_diagnostics.py::TestCheckLevelSet::test_psi_tol_tie_passes_level_set"),
+    # a row's gamma is its gamma0 after inner_iters multiplications by tau,
+    # in the engine's order, and inner_iters lies in [0, max_inner)
+    (DIAGNOSTICS, "counted = 0 <= trials < max_inner", "counted = 0 <= trials <= max_inner",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_inner_iters_lies_below_max_inner[max_inner]"),
+    (DIAGNOSTICS, "counted = 0 <= trials < max_inner", "counted = trials < max_inner",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_inner_iters_lies_below_max_inner[negative]"),
+    (DIAGNOSTICS, "counted and gamma == rec.gamma",
+     "counted and rec.gamma0 * tau**trials == rec.gamma",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_gamma_is_gamma0_times_tau_per_trial_in_the_engines_order"),
+    (DIAGNOSTICS, "gamma = gamma * tau\n", "gamma = gamma * tau\n            break\n",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_gamma_is_gamma0_times_tau_per_trial_in_the_engines_order"),
+    # `check` imports neither numpy nor the engine, and `import proxgrad`
+    # resolves each public name on first use
+    (CORE, "from typing import Callable\n", "from typing import Callable\n\nimport numpy as np\n",
+     "tests/test_cli.py::test_check_loads_neither_numpy_nor_the_engine"),
+    (CLI, "                          STATUS_MAX_OUTER, TraceFormatError, read_trace_csv, "
+          "write_trace_csv)\n",
+     "                          STATUS_MAX_OUTER, TraceFormatError, read_trace_csv, "
+     "write_trace_csv)\nfrom .solver import solve\n",
+     "tests/test_cli.py::test_check_loads_neither_numpy_nor_the_engine"),
+    (INIT, 'if not (name.startswith("_") or name in _MODULES or name == "cli"):', "if True:",
+     "tests/test_cli.py::test_check_loads_neither_numpy_nor_the_engine"),
+    (INIT, '*__getattr__("__all__")})', '*__getattr__("__all__")[:-2]})',
+     "tests/test_core.py::test_each_public_name_resolves_in_a_fresh_interpreter"),
 ]
 
 # the tier-1 command, stopping at the first failure
