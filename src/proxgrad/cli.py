@@ -274,11 +274,11 @@ def cmd_check(args) -> int:
         trace = read_trace_csv(args.trace)
     except (OSError, TraceFormatError) as exc:
         raise ValueError(f"cannot read trace: {exc}") from exc
-    # tail-check defaults scale with the run's residual tolerance but are
-    # floored at the desk-scale bands: raw step norms shrink like
-    # tau_abs / gamma, so a strict tau_abs alone would over-tighten them
+    # tail-check defaults follow the run's tau_abs, floored at desk-scale bands; raw
+    # step norms shrink like tau_abs / gamma, so the steps band is over min(1, gamma)
     tau_abs = trace.config_echo.tau_abs
-    steps_tol = args.steps_tol if args.steps_tol is not None else max(tau_abs, 1e-6)
+    gamma = min([1.0, *(g for g in diagnostics._tail([r.gamma for r in trace.records]) if g > 0)])
+    steps_tol = args.steps_tol if args.steps_tol is not None else max(tau_abs, 1e-6) / gamma
     product_tol = args.product_tol if args.product_tol is not None else max(10.0 * tau_abs, 1e-5)
 
     print(f"status: {trace.status}")
@@ -362,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("trace", help="path to a CSV trace")
     p_check.add_argument("--steps-tol", type=float, default=None,
                          help="tolerance for the vanishing-steps check "
-                              "(default: max(tau_abs, 1e-6))")
+                              "(default: max(tau_abs, 1e-6) / min(1, gamma) over the tail)")
     p_check.add_argument("--product-tol", type=float, default=None,
                          help="tolerance for the gamma*step check "
                               "(default: max(10*tau_abs, 1e-5))")

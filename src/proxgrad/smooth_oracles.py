@@ -18,9 +18,17 @@ over ``A`` instead of two.  The memo is keyed on the point's dtype, shape and
 bytes, is replaced atomically, and a hit equals a recompute bit for bit;
 concurrent callers can only cause misses.  A config names a family by the
 name above; `proxgrad.cli.build_smooth` maps it to its constructor.
+
+Both run ``A x`` and ``A^T r`` on two cores where BLAS uses one (C-ordered
+``A``, n >= 2m, 350 000 <= m*n < 460 800): a helper thread computes the first
+outputs, split at a multiple of 16, so each output is the same BLAS dot
+product and the bits do not change.  From 460 800 up OpenBLAS threads the call
+itself, with other bits; elsewhere the hand-off costs more than it saves.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -60,6 +68,46 @@ def _last_point_memo(compute):
     return cached
 
 
+_helpers = {}  # "helper": (busy, jobs, done) of the one helper thread, made on first use
+os.register_at_fork(after_in_child=_helpers.clear)
+
+
+def _split_points(A) -> tuple[int, int]:
+    """Where ``A @ x`` and ``A.T @ r`` split their outputs, or 0 for no split."""
+    m, n = A.shape
+    split = (A.flags.c_contiguous and n >= 2 * m and 350_000 <= m * n < 460_800
+             and len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2)
+    return (m // 32 * 16, n // 32 * 16) if split else (0, 0)
+
+
+def _serve(_busy, jobs, done):  # the helper thread; `_product` sends float64 parts that fit
+    while True:
+        np.matmul(*jobs.get())
+        done.put(None)
+
+
+def _product(M, v, split: int):
+    """``M @ v``, outputs [:split] (split > 0) from the helper thread unless it is busy."""
+    if v.dtype != np.float64 or v.shape != (M.shape[1],):
+        return M @ v
+    if (helper := _helpers.get("helper")) is None:
+        import queue, threading
+        new = (threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue())
+        if (helper := _helpers.setdefault("helper", new)) is new:  # one of racing callers
+            threading.Thread(target=_serve, args=new, name="proxgrad-matvec", daemon=True).start()
+    busy, jobs, done = helper
+    if not busy.acquire(blocking=False):
+        return M @ v
+    out = np.empty(M.shape[0])
+    jobs.put((M[:split], v, out[:split]))
+    try:
+        np.matmul(M[split:], v, out[split:])
+    finally:  # take the helper's signal even when this part raised
+        done.get()
+        busy.release()
+    return out
+
+
 def make_quadratic(A_rows, b) -> SmoothOracle:
     """Least-squares oracle f(x) = 0.5*||A x - b||^2 with grad A^T(A x - b).
 
@@ -82,14 +130,15 @@ def make_quadratic(A_rows, b) -> SmoothOracle:
             f"shape mismatch: A has {A.shape[0]} rows but b has {bv.size} entries"
         )
 
-    residual = _last_point_memo(lambda x: A @ x - bv)
+    rows, cols = _split_points(A)
+    residual = _last_point_memo(lambda x: (_product(A, x, rows) if rows else A @ x) - bv)
 
     def feval(x: Vector) -> float:
         r = residual(x)
         return 0.5 * float(np.dot(r, r))
 
     def fgrad(x: Vector) -> Vector:
-        return A.T @ residual(x)
+        return _product(A.T, residual(x), cols) if cols else A.T @ residual(x)
 
     return SmoothOracle("quadratic", feval, fgrad)
 
@@ -125,7 +174,8 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
 
-    margins = _last_point_memo(lambda x: y * (A @ x))
+    rows, cols = _split_points(A)
+    margins = _last_point_memo(lambda x: y * (_product(A, x, rows) if rows else A @ x))
 
     def feval(x: Vector) -> float:
         z = margins(x)
@@ -136,7 +186,7 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
         # sigma(-z) = 1/(1+e^z), from e = exp(-|z|) <= 1, which cannot overflow
         e = np.exp(-np.abs(z))
         p = np.where(z >= 0, e, 1.0) / (1.0 + e)
-        return -(A.T @ (y * p))
+        return -(_product(A.T, y * p, cols) if cols else A.T @ (y * p))
 
     return SmoothOracle("logistic", feval, fgrad)
 

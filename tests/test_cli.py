@@ -360,6 +360,17 @@ class TestCheck:
                      "check_vanishing_steps", "check_gamma_step_product", "gamma_bound"):
             assert name in out
 
+    def test_default_steps_band_follows_the_tail_gamma(self, tmp_path, capsys, monkeypatch):
+        # the m = 0 logistic run converges with a last step of 7.6e-6 at gamma
+        # 0.12; the band max(tau_abs, 1e-6), not divided by min(1, gamma), failed it
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["compare", "logistic_l1", "--m", "0"]) == 0
+        capsys.readouterr()
+        code = run_cli(["check", "logistic_l1_trace_m0.csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "check_vanishing_steps: pass (tol=8.20382e-06)" in out
+
     def test_corrupted_psi_exits_4(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0

@@ -1,17 +1,27 @@
 import math
+import multiprocessing
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from proxgrad.cli import build_smooth
+from proxgrad import smooth_oracles
+from proxgrad.cli import build_smooth, main
+from proxgrad.core import make_problem
+from proxgrad.diagnostics import write_trace_csv
+from proxgrad.prox_oracles import make_l1
 from proxgrad.smooth_oracles import (
     fd_gradient_check,
     make_logistic,
     make_quadratic,
     make_quartic,
 )
+from proxgrad.solver import SolverConfig, solve
+
+from conftest import SHIPPED, load_shipped, solve_quiet
 
 
 class TestQuadratic:
@@ -208,21 +218,16 @@ def test_memo_hands_out_no_cached_array(kind):
     assert call_bytes(oracle, "grad", x) == fresh_bytes(kind, "grad", x)
 
 
-@memo_kinds
-def test_memo_under_concurrent_callers(kind):
-    # more threads than a small host has cores, started together and
-    # switching as often as possible; a memo that stores its key and its
-    # value in two separate variables fails here
-    oracle = MEMO_BUILDERS[kind]()
-    points = [np.random.default_rng(i).standard_normal(4) for i in range(8)]
-    expected = {(i, f): fresh_bytes(kind, f, x) for i, x in enumerate(points)
-                for f in ("eval", "grad")}
+def assert_concurrent_callers_agree(oracle, points, expected, calls):
+    """Eight threads, started together and switching as often as possible,
+    each make `calls` alternating grad/eval calls at seeded choices of
+    `points`; every call must give `expected[index, field]`'s bytes."""
     mismatches, done = [], []
     start = threading.Barrier(8, timeout=60)
 
     def worker(seed):
         start.wait()
-        order = np.random.default_rng(seed).integers(0, 8, size=3000)
+        order = np.random.default_rng(seed).integers(0, len(points), size=calls)
         for j, i in enumerate(order):
             field = "eval" if j % 2 else "grad"
             if np.asarray(getattr(oracle, field)(points[i])).tobytes() != expected[i, field]:
@@ -232,7 +237,8 @@ def test_memo_under_concurrent_callers(kind):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        threads = [threading.Thread(target=worker, args=(seed,), daemon=True)
+                   for seed in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -242,3 +248,139 @@ def test_memo_under_concurrent_callers(kind):
     assert not any(t.is_alive() for t in threads)
     assert sorted(done) == list(range(8))
     assert mismatches == []
+
+
+@memo_kinds
+def test_memo_under_concurrent_callers(kind):
+    # more threads than a small host has cores; a memo that stores its key
+    # and its value in two separate variables fails here
+    points = [np.random.default_rng(i).standard_normal(4) for i in range(8)]
+    expected = {(i, f): fresh_bytes(kind, f, x) for i, x in enumerate(points)
+                for f in ("eval", "grad")}
+    assert_concurrent_callers_agree(MEMO_BUILDERS[kind](), points, expected, 3000)
+
+# ---- A x and A^T r split between two threads -----------------------------------
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the band alone decide a split, whatever CPUs this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def in_band_design(seed, m=200, n=2000):
+    """A seeded C-ordered design inside the split band and its split points."""
+    A = np.random.default_rng(seed).standard_normal((m, n))
+    return A, smooth_oracles._split_points(A)
+
+
+def awkward(rng, size):
+    """Gaussian entries scaled by up to 1e150, with zeros and negative zeros."""
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 151, size)
+    v[::7] = 0.0
+    v[3::11] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("shape, order, cpus, want", [
+    ((200, 2000), "C", 2, (96, 992)),
+    ((175, 2000), "C", 2, (80, 992)),  # m*n = 350 000, the lower edge
+    ((174, 2000), "C", 2, (0, 0)),
+    ((230, 2003), "C", 2, (112, 992)),  # m*n = 460 690
+    ((200, 2304), "C", 2, (0, 0)),  # m*n = 460 800: OpenBLAS threads the call itself
+    ((500, 900), "C", 2, (0, 0)),  # not wide
+    ((2000, 200), "C", 2, (0, 0)),
+    ((200, 2000), "F", 2, (0, 0)),
+    ((200, 2000), "C", 1, (0, 0)),
+], ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else str(p))
+def test_split_points_follow_the_band(monkeypatch, shape, order, cpus, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert smooth_oracles._split_points(np.empty(shape, order=order)) == want
+
+
+# the last two lie just below m*n = 460 800
+@pytest.mark.parametrize("m, n", [(200, 2000), (226, 2038), (210, 2194)])
+def test_split_products_equal_the_whole_products_bitwise(two_cpus, m, n):
+    A, (rows, cols) = in_band_design(m, m, n)
+    assert rows % 16 == 0 < rows and cols % 16 == 0 < cols
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x, r = awkward(rng, n), awkward(rng, m)
+        for got, want in ((smooth_oracles._product(A, x, rows), A @ x),
+                          (smooth_oracles._product(A.T, r, cols), A.T @ r)):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_in_band_solve_equals_the_unsplit_solve(two_cpus, monkeypatch, tmp_path):
+    A, _ = in_band_design(21)
+    A /= math.sqrt(200)
+    b = A[:, :8] @ np.linspace(-1.0, 1.0, 8)
+    runs = []
+    for name in ("split", "whole"):
+        if name == "whole":
+            monkeypatch.setattr(smooth_oracles, "_split_points", lambda A: (0, 0))
+        problem = make_problem(make_quadratic(A, b), make_l1(0.05), 2000)
+        report = solve(problem, SolverConfig(max_outer=15), np.zeros(2000))
+        write_trace_csv(report.trace, tmp_path / name)
+        runs.append(((tmp_path / name).read_bytes(), report.x_final.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_shipped_configs_and_run_start_no_helper(monkeypatch, tmp_path):
+    monkeypatch.setattr(smooth_oracles, "_helpers", {})
+    for name in SHIPPED:
+        cfg = load_shipped(name)
+        solve_quiet(cfg["problem"], cfg["config"], cfg["x0"])
+    assert main(["run", "lasso_small", "--output", str(tmp_path / "t.csv")]) == 0
+    assert smooth_oracles._helpers == {}
+
+
+def test_split_oracle_under_concurrent_callers(two_cpus):
+    # a short form of test_memo_under_concurrent_callers: the callers contend
+    # for the one helper, and those that find it busy compute whole
+    A, _ = in_band_design(8)
+    b = np.linspace(-1.0, 1.0, 200)
+    points = [np.random.default_rng(i).standard_normal(2000) for i in range(8)]
+    expected = {}
+    for i, x in enumerate(points):
+        r = A @ x - b
+        expected[i, "eval"] = np.asarray(0.5 * float(np.dot(r, r))).tobytes()
+        expected[i, "grad"] = (A.T @ r).tobytes()
+    assert_concurrent_callers_agree(make_quadratic(A, b), points, expected, 40)
+
+
+def test_exception_in_the_callers_part_leaves_no_stale_signal(two_cpus, monkeypatch):
+    A, (rows, _) = in_band_design(9)
+    x1, x2 = np.ones(2000), np.linspace(-1.0, 1.0, 2000)
+    want = (A @ x2).tobytes()
+    matmul, armed = np.matmul, [True]
+
+    def matmul_with_faults(*args):
+        if threading.current_thread().name == "proxgrad-matvec":
+            time.sleep(0.02)  # the helper's part outlasts the caller's
+        elif armed:
+            armed.clear()
+            raise MemoryError("injected")
+        return matmul(*args)
+
+    monkeypatch.setattr(np, "matmul", matmul_with_faults)
+    with pytest.raises(MemoryError, match="injected"):
+        smooth_oracles._product(A, x1, rows)
+    assert smooth_oracles._product(A, x2, rows).tobytes() == want
+
+
+def test_forked_child_computes_a_split_product(two_cpus):
+    A, (rows, _) = in_band_design(10)
+    x = np.linspace(-1.0, 1.0, 2000)
+    want = (A @ x).tobytes()
+    assert smooth_oracles._product(A, x, rows).tobytes() == want  # the parent's helper
+
+    def product_in_child():
+        sys.exit(0 if smooth_oracles._product(A, x, rows).tobytes() == want else 1)
+
+    child = multiprocessing.get_context("fork").Process(target=product_in_child)
+    child.start()
+    child.join(timeout=10)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

@@ -319,6 +319,25 @@ MUTANTS = [
      "tests/test_cli.py::test_check_loads_neither_numpy_nor_the_engine"),
     (INIT, '*__getattr__("__all__")})', '*__getattr__("__all__")[:-2]})',
      "tests/test_core.py::test_each_public_name_resolves_in_a_fresh_interpreter"),
+    # the split matvecs: aligned output splits, the band's upper edge, a
+    # strided BLAS call, one caller at a time, and no stale completion signal
+    (SMOOTH, "(m // 32 * 16, n // 32 * 16)", "(m // 2, n // 2)",
+     "tests/test_smooth_oracles.py::test_split_points_follow_the_band[200x2000-C-2-96x992]"),
+    (SMOOTH, "m * n < 460_800", "m * n < 470_000",
+     "tests/test_smooth_oracles.py::test_split_points_follow_the_band[200x2304-C-2-0x0]"),
+    (SMOOTH, "np.matmul(*jobs.get())", "np.dot(*jobs.get())",
+     "tests/test_smooth_oracles.py::test_split_products_equal_the_whole_products_bitwise"
+     "[200-2000]"),
+    (SMOOTH, "if not busy.acquire(blocking=False):\n        return M @ v\n",
+     "busy.acquire(blocking=False)\n",
+     "tests/test_smooth_oracles.py::test_split_oracle_under_concurrent_callers"),
+    (SMOOTH, "    finally:  # take the helper's signal even when this part raised\n"
+             "        done.get()\n",
+     "        done.get()\n    finally:\n",
+     "tests/test_smooth_oracles.py::test_exception_in_the_callers_part_leaves_no_stale_signal"),
+    # check's default steps band follows the tail's gamma
+    (CLI, "max(tau_abs, 1e-6) / gamma", "max(tau_abs, 1e-6)",
+     "tests/test_cli.py::TestCheck::test_default_steps_band_follows_the_tail_gamma"),
 ]
 
 # the tier-1 command, stopping at the first failure
