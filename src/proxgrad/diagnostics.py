@@ -172,19 +172,11 @@ def read_trace_csv(path) -> Trace:
             raise TraceFormatError(f"record indices must be contiguous from 0; "
                                    f"row {len(records)} has k={parts[0]!r}")
         try:
-            records.append(
-                IterateRecord(
-                    f_val=float(parts[1]),
-                    phi_val=float(parts[2]),
-                    psi=float(parts[3]),
-                    gamma0=float(parts[4]),
-                    gamma=float(parts[5]),
-                    inner_iters=int(parts[6]),
-                    step_norm=float(parts[7]),
-                    residual=math.inf if parts[8] == "" else float(parts[8]),
-                    accepted_ref=float(parts[9]),
-                )
-            )
+            records.append(IterateRecord(
+                f_val=float(parts[1]), phi_val=float(parts[2]), psi=float(parts[3]),
+                gamma0=float(parts[4]), gamma=float(parts[5]), inner_iters=int(parts[6]),
+                step_norm=float(parts[7]), residual=math.inf if parts[8] == "" else float(parts[8]),
+                accepted_ref=float(parts[9])))
         except ValueError as exc:
             raise TraceFormatError(f"bad row {ln!r}: {exc}") from exc
     return Trace(records=tuple(records), config_echo=config, problem_name=problem_name,
@@ -285,20 +277,24 @@ def _tail(values: list, fraction: float = 0.1) -> list:
     return values[-n:]
 
 
+def _tail_min_at_most(values: list, tol: float) -> bool:
+    """min over the final 10% of >= 10 `values` <= tol; a NaN there fails, wherever it sits."""
+    if len(values) < 10:
+        raise ValueError("need a trace with at least 10 rows")
+    tail = _tail(values)
+    return not any(map(math.isnan, tail)) and min(tail) <= tol
+
+
 def check_vanishing_steps(trace: Trace, tol: float) -> bool:
     """True iff the step norms vanish at the tail: min over the final 10%
     of rows of ||x^{k+1} - x^k|| <= tol.  Requires >= 10 rows."""
-    if len(trace.records) < 10:
-        raise ValueError("need a trace with at least 10 rows")
-    return min(_tail([r.step_norm for r in trace.records])) <= tol
+    return _tail_min_at_most([r.step_norm for r in trace.records], tol)
 
 
 def check_gamma_step_product(trace: Trace, tol: float) -> bool:
     """True iff min over the final 10% of rows of gamma_k * step_norm_k <= tol.
     Requires >= 10 rows."""
-    if len(trace.records) < 10:
-        raise ValueError("need a trace with at least 10 rows")
-    return min(_tail([r.gamma * r.step_norm for r in trace.records])) <= tol
+    return _tail_min_at_most([r.gamma * r.step_norm for r in trace.records], tol)
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,9 @@ def brute_force_prox(
 
     Independent verification oracle for the separable prox maps.  `phi_1d`
     is evaluated on the whole grid at once and must map it elementwise, to
-    an array of the grid's shape; otherwise a ValueError is raised.  Ties
-    resolve to the smallest |x|, then the smallest x.
+    an array of the grid's shape without NaN (``+inf`` is allowed), and `v`
+    must be finite; otherwise a ValueError is raised.  Ties resolve to the
+    smallest |x|, then the smallest x.
     """
     g = _check_gamma(gamma)
     if not (lo < hi) or step <= 0:
@@ -235,6 +236,8 @@ def brute_force_prox(
     if phi_vals.shape != grid.shape:
         raise ValueError(f"phi_1d must map the grid elementwise: got shape "
                          f"{phi_vals.shape} for a grid of shape {grid.shape}")
+    if not math.isfinite(v) or np.isnan(phi_vals).any():
+        raise ValueError(f"need a finite v (got {v}) and a phi_1d without NaN on the grid")
     obj = grid - v
     obj *= obj
     obj *= 0.5 * g

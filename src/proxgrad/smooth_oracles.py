@@ -19,16 +19,19 @@ bytes, is replaced atomically, and a hit equals a recompute bit for bit;
 concurrent callers can only cause misses.  A config names a family by the
 name above; `proxgrad.cli.build_smooth` maps it to its constructor.
 
-Both run ``A x`` and ``A^T r`` on two cores where BLAS uses one (C-ordered
-``A``, n >= 2m, 350 000 <= m*n < 460 800): a helper thread computes the first
-outputs, split at a multiple of 16, so each output is the same BLAS dot
-product and the bits do not change.  From 460 800 up OpenBLAS threads the call
-itself, with other bits; elsewhere the hand-off costs more than it saves.
+Both bind ``A x`` and ``A^T r`` when built, to two cores where BLAS uses one
+(C-ordered ``A``, n >= 2m, 350 000 <= m*n < 460 800): each call queues its first
+outputs, split at a multiple of 16, to one helper thread with a fresh lock the
+helper releases when done.  Each output is the same BLAS dot product, so the
+bits do not change.  From 460 800 up OpenBLAS threads the call itself, with
+other bits; elsewhere the hand-off costs more than it saves.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import threading
 
 import numpy as np
 
@@ -68,8 +71,8 @@ def _last_point_memo(compute):
     return cached
 
 
-_helpers = {}  # "helper": (busy, jobs, done) of the one helper thread, made on first use
-os.register_at_fork(after_in_child=_helpers.clear)
+_helper = {}  # "jobs": the one helper thread's job queue, made on first use
+os.register_at_fork(after_in_child=_helper.clear)
 
 
 def _split_points(A) -> tuple[int, int]:
@@ -80,32 +83,38 @@ def _split_points(A) -> tuple[int, int]:
     return (m // 32 * 16, n // 32 * 16) if split else (0, 0)
 
 
-def _serve(_busy, jobs, done):  # the helper thread; `_product` sends float64 parts that fit
+def _serve(jobs):  # the helper thread; `_product` sends float64 parts that fit
     while True:
-        np.matmul(*jobs.get())
-        done.put(None)
+        M, v, out, done = jobs.get()
+        np.matmul(M, v, out)
+        done.release()
 
 
 def _product(M, v, split: int):
-    """``M @ v``, outputs [:split] (split > 0) from the helper thread unless it is busy."""
+    """``M @ v``, its outputs [:split] (split > 0) computed by the helper thread."""
     if v.dtype != np.float64 or v.shape != (M.shape[1],):
         return M @ v
-    if (helper := _helpers.get("helper")) is None:
-        import queue, threading
-        new = (threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue())
-        if (helper := _helpers.setdefault("helper", new)) is new:  # one of racing callers
-            threading.Thread(target=_serve, args=new, name="proxgrad-matvec", daemon=True).start()
-    busy, jobs, done = helper
-    if not busy.acquire(blocking=False):
-        return M @ v
+    if (jobs := _helper.get("jobs")) is None:
+        import queue
+        new = queue.SimpleQueue()
+        if (jobs := _helper.setdefault("jobs", new)) is new:  # one of racing callers
+            threading.Thread(target=_serve, args=(new,), name="proxgrad-matvec", daemon=True).start()
     out = np.empty(M.shape[0])
-    jobs.put((M[:split], v, out[:split]))
-    try:
-        np.matmul(M[split:], v, out[split:])
-    finally:  # take the helper's signal even when this part raised
-        done.get()
-        busy.release()
+    (done := threading.Lock()).acquire()  # the helper releases it once out[:split] is written
+    jobs.put((M[:split], v, out[:split], done))
+    np.matmul(M[split:], v, out[split:])
+    done.acquire()
     return out
+
+
+def _design(A_rows):
+    """Float64 matrix ``A``, ``x -> A @ x`` and ``r -> A.T @ r``, split as `_split_points` says."""
+    A = np.asarray(A_rows, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a matrix, got shape {A.shape}")
+    rows, cols = _split_points(A)
+    return (A, functools.partial(_product, A, split=rows) if rows else A.__matmul__,
+            functools.partial(_product, A.T, split=cols) if cols else A.T.__matmul__)
 
 
 def make_quadratic(A_rows, b) -> SmoothOracle:
@@ -118,27 +127,22 @@ def make_quadratic(A_rows, b) -> SmoothOracle:
     b : array_like, shape (m,)
         Right-hand side; must have one entry per row of `A_rows`.
     """
-    A = np.asarray(A_rows, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"A must be a matrix, got shape {A.shape}")
+    A, matvec, rmatvec = _design(A_rows)
     try:
         bv = as_vector(b)
     except ValueError as exc:
         raise ValueError(f"parameter 'b': {exc}") from None
     if A.shape[0] != bv.size:
-        raise ValueError(
-            f"shape mismatch: A has {A.shape[0]} rows but b has {bv.size} entries"
-        )
+        raise ValueError(f"shape mismatch: A has {A.shape[0]} rows but b has {bv.size} entries")
 
-    rows, cols = _split_points(A)
-    residual = _last_point_memo(lambda x: (_product(A, x, rows) if rows else A @ x) - bv)
+    residual = _last_point_memo(lambda x: matvec(x) - bv)
 
     def feval(x: Vector) -> float:
         r = residual(x)
         return 0.5 * float(np.dot(r, r))
 
     def fgrad(x: Vector) -> Vector:
-        return _product(A.T, residual(x), cols) if cols else A.T @ residual(x)
+        return rmatvec(residual(x))
 
     return SmoothOracle("quadratic", feval, fgrad)
 
@@ -165,17 +169,14 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
     Evaluation uses ``log1p(exp(-|z|)) + max(-z, 0)`` so that large margins
     of either sign cannot overflow.
     """
-    A = np.asarray(A_rows, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"A must be a matrix, got shape {A.shape}")
+    A, matvec, rmatvec = _design(A_rows)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (A.shape[0],):
         raise ValueError("labels must have one entry per row of A")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
 
-    rows, cols = _split_points(A)
-    margins = _last_point_memo(lambda x: y * (_product(A, x, rows) if rows else A @ x))
+    margins = _last_point_memo(lambda x: y * matvec(x))
 
     def feval(x: Vector) -> float:
         z = margins(x)
@@ -186,7 +187,7 @@ def make_logistic(A_rows, labels) -> SmoothOracle:
         # sigma(-z) = 1/(1+e^z), from e = exp(-|z|) <= 1, which cannot overflow
         e = np.exp(-np.abs(z))
         p = np.where(z >= 0, e, 1.0) / (1.0 + e)
-        return -(_product(A.T, y * p, cols) if cols else A.T @ (y * p))
+        return -rmatvec(y * p)
 
     return SmoothOracle("logistic", feval, fgrad)
 
@@ -198,16 +199,15 @@ def fd_gradient_check(oracle: SmoothOracle, x, h: float = 1e-5) -> float:
     where ``g = oracle.grad(x)``.  The default ``h = 1e-5`` balances the
     O(h^2) truncation error against double-precision roundoff.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     xv = as_vector(x)
     g = oracle.grad(xv)
-    worst = 0.0
+    errs = []
     for i in range(xv.size):
         step = np.zeros_like(xv)
         step[i] = h
         slope = (oracle.eval(xv + step) - oracle.eval(xv - step)) / (2.0 * h)
-        err = abs(slope - float(g[i])) / max(1.0, abs(float(g[i])))
-        worst = max(worst, err)
-    return worst
+        errs.append(abs(slope - float(g[i])) / max(1.0, abs(float(g[i]))))
+    return float(np.max(errs, initial=0.0))  # NaN if any deviation is NaN
 

@@ -21,11 +21,11 @@ stationarity residual
 computed once per trial, where it decides the inner early exit, and tested
 right after the accepted step, with a step-norm fallback as a secondary exit.
 These parameters are the fields of `proxgrad.core.SolverConfig`, which every
-trace carries.  A run is deterministic given (problem, config, x0).  The one
-state runs share is the smooth oracles' matvec helper thread, which never
-changes a bit.  Problems are frozen dataclasses, and a smooth oracle's memo
-returns on a hit the bits a recompute would give, so solves may share a
-problem concurrently.
+trace carries.  A run is deterministic given (problem, config, x0).  Runs
+share only the smooth oracles' matvec helper thread, which keeps nothing
+between calls and never changes a bit.  Problems are frozen dataclasses, and
+a smooth oracle's memo returns on a hit the bits a recompute would give, so
+solves may share a problem concurrently.
 """
 
 from __future__ import annotations

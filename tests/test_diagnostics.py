@@ -273,6 +273,18 @@ class TestCheckGammaStepProduct:
         assert check_gamma_step_product(trace, 0.0)
 
 
+@pytest.mark.parametrize("checker", [check_vanishing_steps, check_gamma_step_product])
+@pytest.mark.parametrize("tail", [[1e-9, math.nan], [math.nan, 1e-9], [math.nan, math.nan]],
+                         ids=["nan_last", "nan_first", "nan_only"])
+def test_a_nan_in_the_tail_fails_wherever_it_sits(checker, tail):
+    # of 20 rows the tail is the last 2; min() kept 1e-9 when the NaN came second
+    trace = synth_trace([float(-k) for k in range(20)], step_norm=[1.0] * 18 + tail)
+    assert not checker(trace, 1e-6)
+    # a NaN before the tail is not read
+    trace = synth_trace([float(-k) for k in range(20)], step_norm=[math.nan] * 18 + [1e-9] * 2)
+    assert checker(trace, 1e-6)
+
+
 class TestGammaBoundReport:
     def test_shipped_run(self):
         trace, config = lasso_trace()

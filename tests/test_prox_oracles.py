@@ -357,6 +357,24 @@ class TestBruteForce:
     def test_default_bounds_are_plus_minus_ten(self, v, end):
         assert brute_force_prox(lambda x: 0.0 * x, 1.0, v) == pytest.approx(end, abs=1e-12)
 
+    @pytest.mark.parametrize("v", [INF, -INF, math.nan])
+    def test_non_finite_v_is_rejected(self, v):
+        # an infinite v made every grid point cost inf and returned 0.0
+        with pytest.raises(ValueError, match=r"^need a finite v \(got (inf|-inf|nan)\)"):
+            brute_force_prox(abs, 1.0, v)
+
+    @pytest.mark.parametrize("phi", [lambda x: np.where(x > 0.5, math.nan, 0.0),
+                                     lambda x: np.full_like(x, math.nan)],
+                             ids=["part_of_the_grid", "whole_grid"])
+    def test_nan_phi_is_rejected(self, phi):
+        with pytest.raises(ValueError, match="and a phi_1d without NaN on the grid$"):
+            brute_force_prox(phi, 1.0, 0.75, lo=-1.0, hi=1.0, step=0.25)
+
+    def test_infinite_phi_stays_valid(self):
+        # the indicator of x >= 0.5 is +inf on part of the grid
+        phi = lambda x: np.where(x >= 0.5, 0.0, INF)
+        assert brute_force_prox(phi, 1.0, 0.0, lo=-1.0, hi=1.0, step=0.25) == 0.5
+
 
 @pytest.mark.parametrize("make, value, fragment", [
     (make, value, "lam must be finite and >= 0")

@@ -10,7 +10,7 @@ import pytest
 
 from proxgrad import smooth_oracles
 from proxgrad.cli import build_smooth, main
-from proxgrad.core import make_problem
+from proxgrad.core import SmoothOracle, make_problem
 from proxgrad.diagnostics import write_trace_csv
 from proxgrad.prox_oracles import make_l1
 from proxgrad.smooth_oracles import (
@@ -116,6 +116,22 @@ class TestFdGradientCheck:
         f = make_quartic()
         with pytest.raises(ValueError, match="positive"):
             fd_gradient_check(f, [1.0], 0.0)
+
+    @pytest.mark.parametrize("h", [-1e-5, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_h(self, h):
+        # a NaN or infinite h made every slope NaN, which scored 0.0
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            fd_gradient_check(make_quartic(), [1.0], h)
+
+    @pytest.mark.parametrize("grad, value", [
+        (lambda x: np.full_like(x, math.nan), lambda x: 0.25 * float((x**4).sum())),
+        (lambda x: np.where(np.arange(x.size) == 1, math.nan, x**3),
+         lambda x: 0.25 * float((x**4).sum())),
+        (lambda x: x**3, lambda x: math.nan),
+    ], ids=["nan_gradient", "nan_second_coordinate", "nan_value"])
+    def test_a_nan_deviation_is_the_result(self, grad, value):
+        oracle = SmoothOracle("nan", value, grad)
+        assert math.isnan(fd_gradient_check(oracle, [1.0, 2.0, 3.0]))
 
 
 def shipped_oracles():
@@ -325,18 +341,26 @@ def test_in_band_solve_equals_the_unsplit_solve(two_cpus, monkeypatch, tmp_path)
     assert runs[0] == runs[1]
 
 
+def matvec_threads():
+    return sum(t.name == "proxgrad-matvec" for t in threading.enumerate())
+
+
 def test_shipped_configs_and_run_start_no_helper(monkeypatch, tmp_path):
-    monkeypatch.setattr(smooth_oracles, "_helpers", {})
+    monkeypatch.setattr(smooth_oracles, "_helper", {})
+    threads = matvec_threads()
     for name in SHIPPED:
         cfg = load_shipped(name)
         solve_quiet(cfg["problem"], cfg["config"], cfg["x0"])
     assert main(["run", "lasso_small", "--output", str(tmp_path / "t.csv")]) == 0
-    assert smooth_oracles._helpers == {}
+    assert smooth_oracles._helper == {} and matvec_threads() == threads
 
 
-def test_split_oracle_under_concurrent_callers(two_cpus):
-    # a short form of test_memo_under_concurrent_callers: the callers contend
-    # for the one helper, and those that find it busy compute whole
+def test_split_oracle_under_concurrent_callers(two_cpus, monkeypatch):
+    # a short form of test_memo_under_concurrent_callers: the callers queue
+    # their parts at the one helper, each waiting on its own lock, and the
+    # first calls race to start that helper from none
+    monkeypatch.setattr(smooth_oracles, "_helper", {})
+    threads = matvec_threads()
     A, _ = in_band_design(8)
     b = np.linspace(-1.0, 1.0, 200)
     points = [np.random.default_rng(i).standard_normal(2000) for i in range(8)]
@@ -346,12 +370,15 @@ def test_split_oracle_under_concurrent_callers(two_cpus):
         expected[i, "eval"] = np.asarray(0.5 * float(np.dot(r, r))).tobytes()
         expected[i, "grad"] = (A.T @ r).tobytes()
     assert_concurrent_callers_agree(make_quadratic(A, b), points, expected, 40)
+    assert matvec_threads() == threads + 1
 
 
-def test_exception_in_the_callers_part_leaves_no_stale_signal(two_cpus, monkeypatch):
+def test_product_is_whole_after_the_callers_part_raised(two_cpus, monkeypatch):
+    # the helper finishes the raised call's part into a buffer nobody reads,
+    # and the next caller waits for its own part, which the helper takes later
     A, (rows, _) = in_band_design(9)
     x1, x2 = np.ones(2000), np.linspace(-1.0, 1.0, 2000)
-    want = (A @ x2).tobytes()
+    want = A @ x2  # kept, so that no later buffer can start out holding it
     matmul, armed = np.matmul, [True]
 
     def matmul_with_faults(*args):
@@ -365,7 +392,7 @@ def test_exception_in_the_callers_part_leaves_no_stale_signal(two_cpus, monkeypa
     monkeypatch.setattr(np, "matmul", matmul_with_faults)
     with pytest.raises(MemoryError, match="injected"):
         smooth_oracles._product(A, x1, rows)
-    assert smooth_oracles._product(A, x2, rows).tobytes() == want
+    assert smooth_oracles._product(A, x2, rows).tobytes() == want.tobytes()
 
 
 def test_forked_child_computes_a_split_product(two_cpus):
