@@ -22,9 +22,12 @@ name above; `proxgrad.cli.build_smooth` maps it to its constructor.
 Both bind ``A x`` and ``A^T r`` when built, to two cores where BLAS uses one
 (C-ordered ``A``, n >= 2m, 350 000 <= m*n < 460 800): each call queues its first
 outputs, split at a multiple of 16, to one helper thread with a fresh lock the
-helper releases when done.  Each output is the same BLAS dot product, so the
-bits do not change.  From 460 800 up OpenBLAS threads the call itself, with
-other bits; elsewhere the hand-off costs more than it saves.
+helper releases when done, and raises what the helper's part raised.  Each
+output is the same BLAS dot product, so the bits do not change.  The halves
+overlap only if the kernel releases the GIL: ``A x`` binds ``np.dot``, since
+numpy 2.4's ``np.matmul`` holds the GIL on C-ordered rows; ``A^T r`` binds
+``np.matmul``, since ``np.dot`` copies strided parts, with other bits.  From
+460 800 up OpenBLAS threads the call itself, with other bits.
 """
 
 from __future__ import annotations
@@ -85,13 +88,16 @@ def _split_points(A) -> tuple[int, int]:
 
 def _serve(jobs):  # the helper thread; `_product` sends float64 parts that fit
     while True:
-        M, v, out, done = jobs.get()
-        np.matmul(M, v, out)
+        kernel, M, v, out, done, failed = jobs.get()
+        try:
+            kernel(M, v, out)
+        except BaseException as exc:  # the caller re-raises it; the helper lives on
+            failed.append(exc)
         done.release()
 
 
-def _product(M, v, split: int):
-    """``M @ v``, its outputs [:split] (split > 0) computed by the helper thread."""
+def _product(M, v, split: int, kernel):
+    """``M @ v`` by ``kernel(part, v, out)``, outputs [:split] (split > 0) by the helper thread."""
     if v.dtype != np.float64 or v.shape != (M.shape[1],):
         return M @ v
     if (jobs := _helper.get("jobs")) is None:
@@ -99,11 +105,13 @@ def _product(M, v, split: int):
         new = queue.SimpleQueue()
         if (jobs := _helper.setdefault("jobs", new)) is new:  # one of racing callers
             threading.Thread(target=_serve, args=(new,), name="proxgrad-matvec", daemon=True).start()
-    out = np.empty(M.shape[0])
+    out, failed = np.empty(M.shape[0]), []
     (done := threading.Lock()).acquire()  # the helper releases it once out[:split] is written
-    jobs.put((M[:split], v, out[:split], done))
-    np.matmul(M[split:], v, out[split:])
+    jobs.put((kernel, M[:split], v, out[:split], done, failed))
+    kernel(M[split:], v, out[split:])
     done.acquire()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -113,8 +121,9 @@ def _design(A_rows):
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
     rows, cols = _split_points(A)
-    return (A, functools.partial(_product, A, split=rows) if rows else A.__matmul__,
-            functools.partial(_product, A.T, split=cols) if cols else A.T.__matmul__)
+    return (A, functools.partial(_product, A, split=rows, kernel=np.dot) if rows else A.__matmul__,
+            functools.partial(_product, A.T, split=cols, kernel=np.matmul) if cols
+            else A.T.__matmul__)
 
 
 def make_quadratic(A_rows, b) -> SmoothOracle:

@@ -289,6 +289,13 @@ def in_band_design(seed, m=200, n=2000):
     return A, smooth_oracles._split_points(A)
 
 
+def split_products(A):
+    """The ``A @ x`` and ``A.T @ r`` an oracle on `A` binds, both split."""
+    products = smooth_oracles._design(A)[1:]
+    assert all(p.func is smooth_oracles._product and p.keywords["split"] > 0 for p in products)
+    return products
+
+
 def awkward(rng, size):
     """Gaussian entries scaled by up to 1e150, with zeros and negative zeros."""
     v = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 151, size)
@@ -318,27 +325,44 @@ def test_split_points_follow_the_band(monkeypatch, shape, order, cpus, want):
 def test_split_products_equal_the_whole_products_bitwise(two_cpus, m, n):
     A, (rows, cols) = in_band_design(m, m, n)
     assert rows % 16 == 0 < rows and cols % 16 == 0 < cols
+    matvec, rmatvec = split_products(A)
     rng = np.random.default_rng(n)
     for _ in range(3):
         x, r = awkward(rng, n), awkward(rng, m)
-        for got, want in ((smooth_oracles._product(A, x, rows), A @ x),
-                          (smooth_oracles._product(A.T, r, cols), A.T @ r)):
+        for got, want in ((matvec(x), A @ x), (rmatvec(r), A.T @ r)):
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def assert_split_solve_equals_the_unsplit_solve(build, monkeypatch, tmp_path):
+    """`build()`'s oracle with an l1 term gives the same trace bytes and
+    `x_final` bits with its matvecs split as with them whole."""
+    runs = []
+    for name in ("split", "whole"):
+        if name == "whole":
+            monkeypatch.setattr(smooth_oracles, "_split_points", lambda A: (0, 0))
+        problem = make_problem(build(), make_l1(0.05), 2000)
+        report = solve(problem, SolverConfig(max_outer=15), np.zeros(2000))
+        write_trace_csv(report.trace, tmp_path / name)
+        runs.append(((tmp_path / name).read_bytes(), report.x_final.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_in_band_solve_equals_the_unsplit_solve(two_cpus, monkeypatch, tmp_path):
     A, _ = in_band_design(21)
     A /= math.sqrt(200)
     b = A[:, :8] @ np.linspace(-1.0, 1.0, 8)
-    runs = []
-    for name in ("split", "whole"):
-        if name == "whole":
-            monkeypatch.setattr(smooth_oracles, "_split_points", lambda A: (0, 0))
-        problem = make_problem(make_quadratic(A, b), make_l1(0.05), 2000)
-        report = solve(problem, SolverConfig(max_outer=15), np.zeros(2000))
-        write_trace_csv(report.trace, tmp_path / name)
-        runs.append(((tmp_path / name).read_bytes(), report.x_final.tobytes()))
-    assert runs[0] == runs[1]
+    assert_split_solve_equals_the_unsplit_solve(lambda: make_quadratic(A, b), monkeypatch,
+                                                tmp_path)
+
+
+def test_in_band_logistic_solve_equals_the_unsplit_solve(two_cpus, monkeypatch, tmp_path):
+    # the margins y * (A x) take the split A x, the gradient the split A^T r
+    A, _ = in_band_design(22)
+    A /= math.sqrt(200)
+    y = np.where(A[:, :8] @ np.linspace(-1.0, 1.0, 8) >= 0, 1.0, -1.0)
+    split_products(A)  # asserts that the design is in band
+    assert_split_solve_equals_the_unsplit_solve(lambda: make_logistic(A, y), monkeypatch,
+                                                tmp_path)
 
 
 def matvec_threads():
@@ -376,33 +400,102 @@ def test_split_oracle_under_concurrent_callers(two_cpus, monkeypatch):
 def test_product_is_whole_after_the_callers_part_raised(two_cpus, monkeypatch):
     # the helper finishes the raised call's part into a buffer nobody reads,
     # and the next caller waits for its own part, which the helper takes later
-    A, (rows, _) = in_band_design(9)
+    A, _ = in_band_design(9)
     x1, x2 = np.ones(2000), np.linspace(-1.0, 1.0, 2000)
     want = A @ x2  # kept, so that no later buffer can start out holding it
-    matmul, armed = np.matmul, [True]
+    dot, armed = np.dot, [True]
 
-    def matmul_with_faults(*args):
+    def dot_with_faults(*args):
         if threading.current_thread().name == "proxgrad-matvec":
             time.sleep(0.02)  # the helper's part outlasts the caller's
         elif armed:
             armed.clear()
             raise MemoryError("injected")
-        return matmul(*args)
+        return dot(*args)
 
-    monkeypatch.setattr(np, "matmul", matmul_with_faults)
+    monkeypatch.setattr(np, "dot", dot_with_faults)  # the kernel both halves of A x call
+    matvec, _ = split_products(A)
     with pytest.raises(MemoryError, match="injected"):
-        smooth_oracles._product(A, x1, rows)
-    assert smooth_oracles._product(A, x2, rows).tobytes() == want.tobytes()
+        matvec(x1)
+    assert matvec(x2).tobytes() == want.tobytes()
+
+
+def test_helpers_fault_is_raised_by_its_caller_and_the_helper_lives_on(two_cpus, monkeypatch):
+    monkeypatch.setattr(smooth_oracles, "_helper", {})  # a helper that dies here stays here
+    A, _ = in_band_design(12)
+    x1, x2 = np.ones(2000), np.linspace(-1.0, 1.0, 2000)
+    want = A @ x2
+    dot, armed = np.dot, [True]
+
+    def dot_with_faults(*args):
+        if armed and threading.current_thread().name == "proxgrad-matvec":
+            armed.clear()
+            raise MemoryError("injected in the helper")
+        return dot(*args)
+
+    monkeypatch.setattr(np, "dot", dot_with_faults)
+    matvec, _ = split_products(A)
+    results = []
+
+    def call(x):
+        try:
+            results.append(matvec(x).tobytes())
+        except MemoryError as exc:
+            results.append(exc)
+
+    for x in (x1, x2):  # each in a thread, so that a caller left waiting fails the test
+        caller = threading.Thread(target=call, args=(x,), daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+    assert not armed and len(results) == 2
+    assert isinstance(results[0], MemoryError) and str(results[0]) == "injected in the helper"
+    assert results[1] == want.tobytes()
+
+
+def test_split_products_release_the_gil(two_cpus):
+    # both halves of a split call overlap only if each kernel releases the
+    # GIL; numpy 2.4's np.matmul keeps it through a C-ordered matrix times a
+    # vector, with the same bits, so a thread counting in Python must advance
+    # while the caller's part runs.  The long switch interval keeps this
+    # thread from taking the GIL by a forced switch.
+    A, _ = in_band_design(13)
+    count, spinning = [0], [True]
+
+    def spin():
+        while spinning:
+            count[0] += 1
+            time.sleep(0)  # gives the GIL back at once
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)
+    spinner = threading.Thread(target=spin, daemon=True)
+    try:
+        spinner.start()
+        while not count[0]:
+            time.sleep(0.001)
+        for product in split_products(A):
+            M, split, kernel = product.args[0], product.keywords["split"], product.keywords["kernel"]
+            v, out = np.ones(M.shape[1]), np.empty(M.shape[0] - split)
+            before, deadline = count[0], time.perf_counter() + 1.0
+            while count[0] == before and time.perf_counter() < deadline:
+                kernel(M[split:], v, out)  # the counter can move only inside this call
+            assert count[0] > before, kernel
+    finally:
+        spinning.clear()
+        spinner.join(timeout=10)
+        sys.setswitchinterval(interval)
 
 
 def test_forked_child_computes_a_split_product(two_cpus):
-    A, (rows, _) = in_band_design(10)
+    A, _ = in_band_design(10)
+    matvec, _ = split_products(A)
     x = np.linspace(-1.0, 1.0, 2000)
     want = (A @ x).tobytes()
-    assert smooth_oracles._product(A, x, rows).tobytes() == want  # the parent's helper
+    assert matvec(x).tobytes() == want  # the parent's helper
 
     def product_in_child():
-        sys.exit(0 if smooth_oracles._product(A, x, rows).tobytes() == want else 1)
+        sys.exit(0 if matvec(x).tobytes() == want else 1)
 
     child = multiprocessing.get_context("fork").Process(target=product_in_child)
     child.start()

@@ -314,22 +314,32 @@ MUTANTS = [
      "tests/test_cli.py::test_check_loads_neither_numpy_nor_the_engine"),
     (INIT, '*__getattr__("__all__")})', '*__getattr__("__all__")[:-2]})',
      "tests/test_core.py::test_each_public_name_resolves_in_a_fresh_interpreter"),
-    # the split matvecs: aligned output splits, the band's upper edge, a
-    # strided BLAS call, and the per-call hand-off: the caller waits for the
-    # helper's part, which the helper writes into the caller's buffer
+    # the split matvecs: aligned output splits, the band's upper edge, each
+    # product's kernel (np.dot copies A^T's strided parts, with other bits;
+    # np.matmul holds the GIL on A's row parts), the per-call hand-off (the
+    # caller waits for the helper's part, which the helper writes into the
+    # caller's buffer), and a fault in the helper's part reaching its caller
     (SMOOTH, "(m // 32 * 16, n // 32 * 16)", "(m // 2, n // 2)",
      "tests/test_smooth_oracles.py::test_split_points_follow_the_band[200x2000-C-2-96x992]"),
     (SMOOTH, "m * n < 460_800", "m * n < 470_000",
      "tests/test_smooth_oracles.py::test_split_points_follow_the_band[200x2304-C-2-0x0]"),
-    (SMOOTH, "np.matmul(M, v, out)", "np.dot(M, v, out)",
+    (SMOOTH, "kernel=np.matmul) if cols", "kernel=np.dot) if cols",
      "tests/test_smooth_oracles.py::test_split_products_equal_the_whole_products_bitwise"
      "[200-2000]"),
-    (SMOOTH, "np.matmul(M[split:], v, out[split:])\n    done.acquire()\n",
-     "np.matmul(M[split:], v, out[split:])\n",
+    (SMOOTH, "kernel=np.dot) if rows", "kernel=np.matmul) if rows",
+     "tests/test_smooth_oracles.py::test_split_products_release_the_gil"),
+    (SMOOTH, "kernel(M[split:], v, out[split:])\n    done.acquire()\n",
+     "kernel(M[split:], v, out[split:])\n",
      "tests/test_smooth_oracles.py::test_product_is_whole_after_the_callers_part_raised"),
-    (SMOOTH, "np.matmul(M, v, out)", "np.matmul(M, v)",
+    (SMOOTH, "kernel(M, v, out)", "kernel(M, v)",
      "tests/test_smooth_oracles.py::test_split_products_equal_the_whole_products_bitwise"
      "[200-2000]"),
+    (SMOOTH, "    if failed:\n        raise failed[0]\n", "",
+     "tests/test_smooth_oracles.py"
+     "::test_helpers_fault_is_raised_by_its_caller_and_the_helper_lives_on"),
+    (SMOOTH, "failed.append(exc)", "raise",
+     "tests/test_smooth_oracles.py"
+     "::test_helpers_fault_is_raised_by_its_caller_and_the_helper_lives_on"),
     # NaN handling in the independent verifiers and the tail checkers
     (SMOOTH, "float(np.max(errs, initial=0.0))", "max([0.0, *errs])",
      "tests/test_smooth_oracles.py::TestFdGradientCheck::test_a_nan_deviation_is_the_result"
