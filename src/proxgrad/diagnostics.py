@@ -216,28 +216,33 @@ def _window_maxima(psi: Sequence[float], m: int) -> list[float]:
     return maxima
 
 
-def check_acceptance(trace: Trace, *, m: int | None = None) -> list[Violation]:
+def check_acceptance(trace: Trace) -> list[Violation]:
     """Re-verify the acceptance certificate of every row.
 
     Row k asserts ``psi[k+1] <= max(psi[k-m_k .. k]) - delta*(gamma_k/2)*step_k^2``
     with the window maxima recomputed from the psi column and psi[n] =
-    `psi_final`; delta is the trace's, and so is m unless given.  An
-    `early_exit` last row asserts ``final_residual <= tau_abs`` instead.
-    Every row's residual must fail the engine's stop test ``residual <=
-    tau_abs``, or the run would have stopped at that iterate.  Every row's
-    gamma must equal its gamma0 multiplied by tau once per rejected trial, in
-    the engine's order, with ``0 <= inner_iters < max_inner`` trials
-    rejected.  Returns an empty list iff the trace passes.
+    `psi_final`; delta and m are the trace's.  An `early_exit` last row
+    asserts ``final_residual <= tau_abs`` instead.  Every row's residual must
+    fail the engine's stop test ``residual <= tau_abs``, or the run would have
+    stopped at that iterate.  Every row's gamma0 must lie in ``[gamma_min,
+    gamma_max]``, where the engine clamps each guess, and its gamma must equal
+    gamma0 multiplied by tau once per rejected trial, in the engine's order,
+    with ``0 <= inner_iters < max_inner`` trials rejected.  Returns an empty
+    list iff the trace passes.
     """
     delta, tau_abs = trace.config_echo.delta, trace.config_echo.tau_abs
     tau, max_inner = trace.config_echo.tau, trace.config_echo.max_inner
-    m = trace.config_echo.m if m is None else m
+    gamma_min, gamma_max = trace.config_echo.gamma_min, trace.config_echo.gamma_max
     psi = [r.psi for r in trace.records] + [trace.psi_final]
-    env = _window_maxima(psi, m)
+    env = _window_maxima(psi, trace.config_echo.m)
     violations = [Violation(k=k, detail=f"residual {rec.residual:.17g} <= tau_abs "
                                         f"{tau_abs:.17g}: the run stops at this iterate")
                   for k, rec in enumerate(trace.records) if rec.residual <= tau_abs]
     for k, rec in enumerate(trace.records):
+        if not gamma_min <= rec.gamma0 <= gamma_max:  # NaN fails too
+            violations.append(Violation(k=k, detail=(
+                f"gamma0 {rec.gamma0:.17g} lies outside [gamma_min, gamma_max] = "
+                f"[{gamma_min:.17g}, {gamma_max:.17g}]")))
         gamma, trials = rec.gamma0, rec.inner_iters
         counted = 0 <= trials < max_inner
         for _ in range(trials if counted else 0):  # one product per rejected trial, in order

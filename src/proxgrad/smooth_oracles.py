@@ -21,13 +21,15 @@ name above; `proxgrad.cli.build_smooth` maps it to its constructor.
 
 Both bind ``A x`` and ``A^T r`` when built, to two cores where BLAS uses one
 (C-ordered ``A``, n >= 2m, 350 000 <= m*n < 460 800): each call queues its first
-outputs, split at a multiple of 16, to one helper thread with a fresh lock the
-helper releases when done, and raises what the helper's part raised.  Each
-output is the same BLAS dot product, so the bits do not change.  The halves
-overlap only if the kernel releases the GIL: ``A x`` binds ``np.dot``, since
-numpy 2.4's ``np.matmul`` holds the GIL on C-ordered rows; ``A^T r`` binds
-``np.matmul``, since ``np.dot`` copies strided parts, with other bits.  From
-460 800 up OpenBLAS threads the call itself, with other bits.
+outputs, split at a multiple of 16, to one helper thread with a fresh queue,
+computes the rest, and takes the helper's one reply, None or the fault to raise.
+Every point takes this path: the kernels cast an integer or float32 point as
+``A @ x`` does and reject a wrong-length one with ValueError.  Each output is
+the same BLAS dot product, so the bits do not change.  The halves overlap only
+if the kernel releases the GIL: ``A x`` binds ``np.dot``, since numpy 2.4's
+``np.matmul`` holds the GIL on C-ordered rows; ``A^T r`` binds ``np.matmul``,
+since ``np.dot`` copies strided parts, with other bits.  From 460 800 up
+OpenBLAS threads the call itself, with other bits.
 """
 
 from __future__ import annotations
@@ -86,32 +88,28 @@ def _split_points(A) -> tuple[int, int]:
     return (m // 32 * 16, n // 32 * 16) if split else (0, 0)
 
 
-def _serve(jobs):  # the helper thread; `_product` sends float64 parts that fit
+def _serve(jobs):  # the helper thread; each job's caller waits on `done` for None or a fault
     while True:
-        kernel, M, v, out, done, failed = jobs.get()
+        kernel, M, v, out, done = jobs.get()
         try:
             kernel(M, v, out)
-        except BaseException as exc:  # the caller re-raises it; the helper lives on
-            failed.append(exc)
-        done.release()
+            done.put(None)
+        except BaseException as exc:  # the caller raises it; the helper lives on
+            done.put(exc)
 
 
 def _product(M, v, split: int, kernel):
     """``M @ v`` by ``kernel(part, v, out)``, outputs [:split] (split > 0) by the helper thread."""
-    if v.dtype != np.float64 or v.shape != (M.shape[1],):
-        return M @ v
+    import queue  # here: at module level it adds about 1 ms to `run`'s cold start
     if (jobs := _helper.get("jobs")) is None:
-        import queue
         new = queue.SimpleQueue()
         if (jobs := _helper.setdefault("jobs", new)) is new:  # one of racing callers
             threading.Thread(target=_serve, args=(new,), name="proxgrad-matvec", daemon=True).start()
-    out, failed = np.empty(M.shape[0]), []
-    (done := threading.Lock()).acquire()  # the helper releases it once out[:split] is written
-    jobs.put((kernel, M[:split], v, out[:split], done, failed))
+    out, done = np.empty(M.shape[0]), queue.SimpleQueue()
+    jobs.put((kernel, M[:split], v, out[:split], done))
     kernel(M[split:], v, out[split:])
-    done.acquire()
-    if failed:
-        raise failed[0]
+    if (fault := done.get()) is not None:
+        raise fault
     return out
 
 

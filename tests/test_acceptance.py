@@ -142,7 +142,8 @@ def test_criterion_04_acceptance_certificate(shipped_reports, sweep_reports):
         assert check_acceptance(report.trace) == [], name
         checked += 1
     for (name, m), report in sweep_reports.items():
-        assert check_acceptance(report.trace, m=m) == [], (name, m)
+        assert report.trace.config_echo.m == m, (name, m)
+        assert check_acceptance(report.trace) == [], (name, m)
         checked += 1
     print(f"ACCEPTANCE 04 acceptance certificate: PASS ({checked} traces, tol 1e-10)")
 

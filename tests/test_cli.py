@@ -142,6 +142,9 @@ class TestRun:
                          "x0: expected a 1-D vector, got a ragged", id="x0_nested_70"),
             pytest.param({"x0": [0.0, 0.0, 0.0]}, "x0: dimension mismatch: expected 2, got 3",
                          id="x0_too_long"),
+            *[pytest.param({"x0": x0}, "error: x0 must be 'zeros', 'ones', or a coordinate "
+                                       f"list, got {x0!r}\n", id=f"x0_{kind}")
+              for kind, x0 in (("number", 5), ("other_name", "twos"), ("object", {}))],
             pytest.param({"problem.smooth": {"name": "quadratic",
                                              "params": {"A": [[1.0, 0.0], [0.0]],
                                                         "b": [1.0, 0.1]}}},
@@ -438,6 +441,24 @@ class TestCheck:
         assert "check_acceptance: FAIL (1 violations)" in out
         assert (f"  row 3: gamma {float(parts[5]):.17g} is not gamma0 12345 after 7 of at most "
                 "99 backtracking steps\n") in out
+
+    def test_gamma0_outside_the_clamp_range_exits_4_naming_the_row(self, tmp_path, capsys):
+        # a tiny gamma0 and gamma pass the gamma and psi tests, and widen the
+        # default steps band; solve clamps every gamma0 to [gamma_min, gamma_max]
+        trace = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        parts = lines[60].split(",")  # row 58, after the metadata line and the header
+        parts[4], parts[5], parts[6] = "1e-300", "1e-300", "0"
+        lines[60] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["check", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "check_acceptance: FAIL (1 violations)" in out
+        assert ("  row 58: gamma0 1e-300 lies outside [gamma_min, gamma_max] "
+                "= [1e-08, 100000000]\n") in out
 
     @pytest.mark.parametrize("overrides, status", [
         ({}, "converged_residual"),

@@ -125,6 +125,16 @@ class TestCheckAcceptance:
             (0, "gamma 1.4641000000000004 is not gamma0 1 after 4 of at most 99 "
                 "backtracking steps")]
 
+    @pytest.mark.parametrize("gamma0, flagged", [
+        (0.5, False), (0.49999999999999994, True), (4.0, False), (4.000000000000001, True),
+        (math.nan, True),
+    ], ids=["gamma_min", "below_gamma_min", "gamma_max", "above_gamma_max", "nan"])
+    def test_gamma0_lies_in_its_clamp_range(self, gamma0, flagged):
+        # the engine clamps every guess to [gamma_min, gamma_max]
+        trace = self.backtracked(gamma0, gamma0, 0, SolverConfig(gamma_min=0.5, gamma_max=4.0))
+        want = [(0, f"gamma0 {gamma0:.17g} lies outside [gamma_min, gamma_max] = [0.5, 4]")]
+        assert [(v.k, v.detail) for v in check_acceptance(trace)][:1] == (want if flagged else [])
+
     @pytest.mark.parametrize("inner_iters, gamma, flagged", [
         (9, 2.0**9, False), (10, 2.0**10, True), (-1, 1.0, True),
     ], ids=["last_trial", "max_inner", "negative"])
@@ -169,25 +179,15 @@ def test_window_keeps_its_front_until_it_leaves():
     assert _window_maxima([2.0, 1.0, 2.0], 1) == [2.0, 2.0, 2.0]
 
 
-CHECKS = {"check_acceptance": lambda t, m: check_acceptance(t, m=m),
-          "check_envelope": check_envelope}
-
-
-@pytest.mark.parametrize("check, m", [
-    ("check_acceptance", -1), ("check_envelope", -1),
-    ("check_acceptance", 1.5), ("check_envelope", 1.5),
-    ("check_acceptance", "1"), ("check_envelope", "1"),
-], ids=["check_acceptance", "check_envelope", "check_acceptance-float", "check_envelope-float",
-        "check_acceptance-str", "check_envelope-str"])
-def test_negative_window_is_a_value_error(check, m):
+@pytest.mark.parametrize("m", [-1, 1.5, "1"],
+                         ids=["check_envelope", "check_envelope-float", "check_envelope-str"])
+def test_negative_window_is_a_value_error(m):
     with pytest.raises(ValueError, match=f"^m must be a nonnegative integer, got {m!r}$"):
-        CHECKS[check](synth_trace([1.0, 0.5]), m)
+        check_envelope(synth_trace([1.0, 0.5]), m)
 
 
 def test_numpy_integer_window_is_a_window():
-    trace = synth_trace([1.0, 0.5])
-    assert check_acceptance(trace, m=np.int64(1)) == []
-    assert check_envelope(trace, np.int64(1))
+    assert check_envelope(synth_trace([1.0, 0.5]), np.int64(1))
 
 
 @pytest.mark.parametrize("m, want", [

@@ -365,6 +365,34 @@ def test_in_band_logistic_solve_equals_the_unsplit_solve(two_cpus, monkeypatch, 
                                                 tmp_path)
 
 
+def split_and_whole_quadratics(monkeypatch, seed):
+    """Two quadratic oracles on one in-band design, its matvecs split and whole."""
+    A, _ = in_band_design(seed)
+    b = np.linspace(-1.0, 1.0, 200)
+    split_products(A)  # asserts that the design is in band
+    split = make_quadratic(A, b)
+    monkeypatch.setattr(smooth_oracles, "_split_points", lambda A: (0, 0))
+    return split, make_quadratic(A, b)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_split_oracle_casts_a_point_as_the_whole_one_does(two_cpus, monkeypatch, dtype):
+    split, whole = split_and_whole_quadratics(monkeypatch, 14)
+    x = (np.random.default_rng(14).standard_normal(2000) * 8).astype(dtype)
+    for field in ("eval", "grad"):
+        assert call_bytes(split, field, x) == call_bytes(whole, field, x), field
+
+
+def test_wrong_length_point_is_a_value_error_split_or_whole(two_cpus, monkeypatch):
+    monkeypatch.setattr(smooth_oracles, "_helper", {})  # a helper that dies here stays here
+    split, whole = split_and_whole_quadratics(monkeypatch, 15)
+    for oracle in (split, whole):
+        for field in ("eval", "grad"):
+            for n in (1999, 2001):
+                with pytest.raises(ValueError):
+                    getattr(oracle, field)(np.ones(n))
+
+
 def matvec_threads():
     return sum(t.name == "proxgrad-matvec" for t in threading.enumerate())
 
@@ -381,7 +409,7 @@ def test_shipped_configs_and_run_start_no_helper(monkeypatch, tmp_path):
 
 def test_split_oracle_under_concurrent_callers(two_cpus, monkeypatch):
     # a short form of test_memo_under_concurrent_callers: the callers queue
-    # their parts at the one helper, each waiting on its own lock, and the
+    # their parts at the one helper, each waiting on its own reply queue, and the
     # first calls race to start that helper from none
     monkeypatch.setattr(smooth_oracles, "_helper", {})
     threads = matvec_threads()

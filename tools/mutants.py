@@ -174,7 +174,7 @@ MUTANTS = [
     (DIAGNOSTICS, "        if operator.index(m) < 0:\n", "        if False:\n",
      "tests/test_diagnostics.py::test_negative_window_is_a_value_error[check_envelope]"),
     (DIAGNOSTICS, "if operator.index(m) < 0:", "if m < 0:",
-     "tests/test_diagnostics.py::test_negative_window_is_a_value_error[check_acceptance-float]"),
+     "tests/test_diagnostics.py::test_negative_window_is_a_value_error[check_envelope-float]"),
     (DIAGNOSTICS, "max_gamma=math.nan if any(map(math.isnan, gammas)) else max(gammas),",
      "max_gamma=max(gammas),",
      "tests/test_diagnostics.py::TestGammaBoundReport::test_nan_gamma_makes_max_gamma_nan"
@@ -301,6 +301,13 @@ MUTANTS = [
     (DIAGNOSTICS, "gamma = gamma * tau\n", "gamma = gamma * tau\n            break\n",
      "tests/test_diagnostics.py::TestCheckAcceptance"
      "::test_gamma_is_gamma0_times_tau_per_trial_in_the_engines_order"),
+    # each row's gamma0 lies in the range the engine clamps it to
+    (DIAGNOSTICS, "if not gamma_min <= rec.gamma0", "if not -math.inf <= rec.gamma0",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_gamma0_lies_in_its_clamp_range[below_gamma_min]"),
+    (DIAGNOSTICS, "rec.gamma0 <= gamma_max:", "rec.gamma0 <= math.inf:",
+     "tests/test_diagnostics.py::TestCheckAcceptance"
+     "::test_gamma0_lies_in_its_clamp_range[above_gamma_max]"),
     # `check` imports neither numpy nor the engine, and `import proxgrad`
     # resolves each public name on first use
     (CORE, "from typing import Callable\n", "from typing import Callable\n\nimport numpy as np\n",
@@ -316,9 +323,9 @@ MUTANTS = [
      "tests/test_core.py::test_each_public_name_resolves_in_a_fresh_interpreter"),
     # the split matvecs: aligned output splits, the band's upper edge, each
     # product's kernel (np.dot copies A^T's strided parts, with other bits;
-    # np.matmul holds the GIL on A's row parts), the per-call hand-off (the
-    # caller waits for the helper's part, which the helper writes into the
-    # caller's buffer), and a fault in the helper's part reaching its caller
+    # np.matmul holds the GIL on A's row parts), and the per-call reply queue:
+    # the caller waits for the helper's part, which the helper writes into the
+    # caller's buffer, and a fault in the helper's part is put and raised
     (SMOOTH, "(m // 32 * 16, n // 32 * 16)", "(m // 2, n // 2)",
      "tests/test_smooth_oracles.py::test_split_points_follow_the_band[200x2000-C-2-96x992]"),
     (SMOOTH, "m * n < 460_800", "m * n < 470_000",
@@ -328,16 +335,16 @@ MUTANTS = [
      "[200-2000]"),
     (SMOOTH, "kernel=np.dot) if rows", "kernel=np.matmul) if rows",
      "tests/test_smooth_oracles.py::test_split_products_release_the_gil"),
-    (SMOOTH, "kernel(M[split:], v, out[split:])\n    done.acquire()\n",
-     "kernel(M[split:], v, out[split:])\n",
+    (SMOOTH, "(fault := done.get())", "(fault := None)",
      "tests/test_smooth_oracles.py::test_product_is_whole_after_the_callers_part_raised"),
     (SMOOTH, "kernel(M, v, out)", "kernel(M, v)",
      "tests/test_smooth_oracles.py::test_split_products_equal_the_whole_products_bitwise"
      "[200-2000]"),
-    (SMOOTH, "    if failed:\n        raise failed[0]\n", "",
+    (SMOOTH, "    if (fault := done.get()) is not None:\n        raise fault\n",
+     "    done.get()\n",
      "tests/test_smooth_oracles.py"
      "::test_helpers_fault_is_raised_by_its_caller_and_the_helper_lives_on"),
-    (SMOOTH, "failed.append(exc)", "raise",
+    (SMOOTH, "done.put(exc)", "raise",
      "tests/test_smooth_oracles.py"
      "::test_helpers_fault_is_raised_by_its_caller_and_the_helper_lives_on"),
     # NaN handling in the independent verifiers and the tail checkers
