@@ -22,7 +22,7 @@ import json
 import math
 import operator
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import SolverConfig
@@ -62,7 +62,12 @@ class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed into a Trace."""
 
 
-@dataclass(frozen=True)
+# A record's __init__ sets its fields through this one binding; the __init__ a
+# frozen dataclass generates looks object.__setattr__ up once per field
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class IterateRecord:
     """One accepted outer step.
 
@@ -71,7 +76,8 @@ class IterateRecord:
     `psi`, `f_val`, `phi_val` are the objective pieces at the iterate the
     step starts from; `residual` is the outer termination value checked at
     that iterate (inf at k = 0); `accepted_ref` is the window maximum the
-    sufficient-decrease test was measured against.
+    sufficient-decrease test was measured against.  Records are slotted and
+    take their fields positionally or by name.
     """
 
     psi: float
@@ -83,6 +89,18 @@ class IterateRecord:
     step_norm: float
     residual: float
     accepted_ref: float
+
+    def __init__(self, psi: float, f_val: float, phi_val: float, gamma0: float, gamma: float,
+                 inner_iters: int, step_norm: float, residual: float, accepted_ref: float):
+        _set(self, "psi", psi)
+        _set(self, "f_val", f_val)
+        _set(self, "phi_val", phi_val)
+        _set(self, "gamma0", gamma0)
+        _set(self, "gamma", gamma)
+        _set(self, "inner_iters", inner_iters)
+        _set(self, "step_norm", step_norm)
+        _set(self, "residual", residual)
+        _set(self, "accepted_ref", accepted_ref)
 
 
 @dataclass(frozen=True)
@@ -98,7 +116,7 @@ class Trace:
 
 
 # One trace row; "%.17g" gives the bytes of format(value, ".17g").  The
-# residual goes in as a string, since its k = 0 sentinel is an empty field.
+# residual goes in as a string, since its k = 0 sentinel, +inf, is an empty field.
 _ROW_FORMAT = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s,%.17g"
 
 
@@ -106,19 +124,19 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Serialize a trace losslessly.
 
     Floats are written with 17 significant digits (exact double round-trip);
-    the k = 0 residual sentinel becomes an empty field.  A single
-    comment-prefixed metadata line precedes the fixed column header so that
-    the solver configuration, problem name, x0 checksum and the run's end
-    survive the round-trip.
+    the k = 0 residual sentinel, +inf, becomes an empty field, and -inf is
+    written as ``-inf``.  A single comment-prefixed metadata line precedes the
+    fixed column header so that the solver configuration, problem name, x0
+    checksum and the run's end survive the round-trip.
     """
     meta = {"problem_name": trace.problem_name, "x0_hash": trace.x0_hash,
-            "config": asdict(trace.config_echo), "status": trace.status,
+            "config": vars(trace.config_echo), "status": trace.status,
             "psi_final": trace.psi_final, "final_residual": trace.final_residual,
             "early_exit": trace.early_exit}
     lines = [_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     lines.append(TRACE_HEADER)
     for k, r in enumerate(trace.records):
-        residual = "" if math.isinf(r.residual) else "%.17g" % r.residual
+        residual = "" if r.residual == math.inf else "%.17g" % r.residual
         lines.append(_ROW_FORMAT % (
             k, r.f_val, r.phi_val, r.psi, r.gamma0, r.gamma, r.inner_iters,
             r.step_norm, residual, r.accepted_ref))
@@ -168,15 +186,15 @@ def read_trace_csv(path) -> Trace:
         parts = ln.split(",")
         if len(parts) != 10:
             raise TraceFormatError(f"row has {len(parts)} fields, expected 10: {ln!r}")
-        if parts[0] != str(len(records)):
+        k, f_val, phi_val, psi, gamma0, gamma, inner_iters, step_norm, residual, ref = parts
+        if k != str(len(records)):
             raise TraceFormatError(f"record indices must be contiguous from 0; "
-                                   f"row {len(records)} has k={parts[0]!r}")
-        try:
+                                   f"row {len(records)} has k={k!r}")
+        try:  # converted in column order, so a row's first bad field is the one reported
+            f_val, phi_val = float(f_val), float(phi_val)
             records.append(IterateRecord(
-                f_val=float(parts[1]), phi_val=float(parts[2]), psi=float(parts[3]),
-                gamma0=float(parts[4]), gamma=float(parts[5]), inner_iters=int(parts[6]),
-                step_norm=float(parts[7]), residual=math.inf if parts[8] == "" else float(parts[8]),
-                accepted_ref=float(parts[9])))
+                float(psi), f_val, phi_val, float(gamma0), float(gamma), int(inner_iters),
+                float(step_norm), math.inf if residual == "" else float(residual), float(ref)))
         except ValueError as exc:
             raise TraceFormatError(f"bad row {ln!r}: {exc}") from exc
     return Trace(records=tuple(records), config_echo=config, problem_name=problem_name,

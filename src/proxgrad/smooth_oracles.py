@@ -29,7 +29,7 @@ the same BLAS dot product, so the bits do not change.  The halves overlap only
 if the kernel releases the GIL: ``A x`` binds ``np.dot``, since numpy 2.4's
 ``np.matmul`` holds the GIL on C-ordered rows; ``A^T r`` binds ``np.matmul``,
 since ``np.dot`` copies strided parts, with other bits.  From 460 800 up
-OpenBLAS threads the call itself, with other bits.
+OpenBLAS threads the call itself, with bits that can differ.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import proxgrad
 from proxgrad.cli import _resolve_config_path, build_prox, main, shipped_config_names
+from proxgrad.diagnostics import read_trace_csv, write_trace_csv
 
 from conftest import SHIPPED
 
@@ -424,6 +425,21 @@ class TestCheck:
         assert code == 4
         assert "check_acceptance: FAIL (1 violations)" in out
         assert "  row 3: residual 9.9999999999999998e-13 <= tau_abs " in out
+
+    def test_minus_inf_residual_exits_4_naming_the_row(self, tmp_path, capsys):
+        # written as -inf, not as the empty field that reads back as +inf
+        path = tmp_path / "t.csv"
+        assert run_cli(["run", "lasso_small", "--output", str(path)]) == 0
+        trace = read_trace_csv(path)
+        records = list(trace.records)
+        records[5] = dataclasses.replace(records[5], residual=-math.inf)
+        write_trace_csv(dataclasses.replace(trace, records=tuple(records)), path)
+        capsys.readouterr()
+        code = run_cli(["check", str(path)])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "check_acceptance: FAIL (1 violations)" in out
+        assert "  row 5: residual -inf <= tau_abs " in out
 
     def test_gamma_not_backtracked_from_gamma0_exits_4_naming_the_row(self, tmp_path, capsys):
         # row 3's gamma no longer follows from its gamma0 and trial count

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -326,6 +328,36 @@ class TestGammaBoundReport:
         assert gamma_bound_report(trace).trend_flag is True
 
 
+class TestIterateRecord:
+    FIELDS = ("psi", "f_val", "phi_val", "gamma0", "gamma", "inner_iters", "step_norm",
+              "residual", "accepted_ref")
+    VALUES = (0.5, 0.25, 0.125, 2.0, 4.0, 1, 0.0625, math.inf, 0.75)
+
+    def test_positional_and_keyword_records_are_equal_field_for_field(self):
+        rec = IterateRecord(*self.VALUES)
+        assert rec == IterateRecord(**dict(zip(self.FIELDS, self.VALUES)))
+        assert tuple(f.name for f in dataclasses.fields(IterateRecord)) == self.FIELDS
+        assert tuple(getattr(rec, name) for name in self.FIELDS) == self.VALUES
+        assert dataclasses.astuple(rec) == self.VALUES
+
+    def test_frozen_and_slotted(self):
+        rec = IterateRecord(*self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.psi = 1.0
+        assert not hasattr(rec, "__dict__")
+
+    def test_compares_hashes_and_copies_by_value(self):
+        rec = IterateRecord(*self.VALUES)
+        other = IterateRecord(*self.VALUES[:-1], 0.5)
+        assert rec != other and hash(rec) == hash(IterateRecord(*self.VALUES))
+        assert len({rec, IterateRecord(*self.VALUES), other}) == 2
+        assert dataclasses.replace(other, accepted_ref=0.75) == rec
+        for back in (copy.copy(rec), pickle.loads(pickle.dumps(rec))):
+            assert back == rec and back is not rec
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                back.gamma = 1.0
+
+
 class TestTraceCsv:
     def test_round_trip_identity(self, tmp_path):
         trace, _ = lasso_trace()
@@ -353,6 +385,61 @@ class TestTraceCsv:
         path = tmp_path / "t.csv"
         write_trace_csv(trace, path)
         assert read_trace_csv(path) == trace
+
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(
+        tau=3.0, gamma_min=1e-6, gamma_max=1e6, delta=0.5, m=0, gamma0_strategy="constant",
+        gamma0_value=0.5, tau_abs=1e-9, eps_step=1e-12, max_outer=7, max_inner=9)],
+        ids=["default", "every_field_set"])
+    def test_metadata_config_is_every_field_of_the_config(self, tmp_path, config):
+        trace = dataclasses.replace(synth_trace([2.0, 1.0]), config_echo=config)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        meta = json.loads(path.read_text().splitlines()[0][len("# proxgrad-trace "):])
+        assert meta["config"] == dataclasses.asdict(config)
+        assert read_trace_csv(path).config_echo == config
+
+    def test_rewrite_reproduces_the_file_byte_for_byte(self, tmp_path):
+        # NaN != NaN, so the bytes are what a second write must reproduce
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, math.nan]
+        records = tuple(
+            IterateRecord(*(extremes[(k + j) % 4] for j in range(5)), k,
+                          extremes[(k + 2) % 4], math.inf if k in (0, 3) else extremes[k % 4],
+                          extremes[(k + 1) % 4])
+            for k in range(5))
+        trace = dataclasses.replace(synth_trace([1.0] * 5), records=records)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trace_csv(trace, first)
+        write_trace_csv(read_trace_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        rows = first.read_text().splitlines()[2:]
+        assert [row.split(",")[8] for row in rows] == [
+            "", "4.9406564584124654e-324", "1.7976931348623157e+308", "", "-0"]
+
+    def test_minus_inf_residual_round_trips(self, tmp_path):
+        # only +inf is the empty-field sentinel; -inf passes the stop test
+        trace, _ = lasso_trace()
+        records = list(trace.records)
+        records[5] = dataclasses.replace(records[5], residual=-math.inf)
+        trace = dataclasses.replace(trace, records=tuple(records))
+        assert [v.k for v in check_acceptance(trace)] == [5]
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text().splitlines()[7].split(",")[8] == "-inf"
+        back = read_trace_csv(path)
+        assert back == trace
+        assert [v.k for v in check_acceptance(back)] == [5]
+
+    def test_first_bad_field_in_column_order_is_reported(self, tmp_path):
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[1], parts[3] = "f?", "psi?"
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match="could not convert string to float: 'f\\?'"):
+            read_trace_csv(path)
 
     def test_gamma0_is_read_from_its_own_column(self, tmp_path):
         trace = synth_trace([2.0, 1.0])
@@ -389,8 +476,8 @@ class TestTraceCsv:
         assert read_trace_csv(path).records[0].step_norm == 1 / 3
 
     def test_row_and_x0_bytes_match_format_spec(self, tmp_path):
-        # each field as format(value, ".17g") gives it, and an infinite
-        # residual of either sign as an empty field
+        # each field as format(value, ".17g") gives it, and a +inf residual
+        # as an empty field; -inf is a number like any other
         def fmt(value):
             return f"{value:.17g}"
 
@@ -407,13 +494,13 @@ class TestTraceCsv:
                               final_residual=1.0, early_exit=False), path)
         want = []
         for k, r in enumerate(records):
-            residual = "" if math.isinf(r.residual) else fmt(r.residual)
+            residual = "" if r.residual == math.inf else fmt(r.residual)
             want.append(f"{k},{fmt(r.f_val)},{fmt(r.phi_val)},{fmt(r.psi)},"
                         f"{fmt(r.gamma0)},{fmt(r.gamma)},{r.inner_iters},"
                         f"{fmt(r.step_norm)},{residual},{fmt(r.accepted_ref)}")
         rows = path.read_text().splitlines()[2:]
         assert rows == want
-        assert sum(row.split(",")[8] == "" for row in rows) == 2
+        assert sum(row.split(",")[8] == "" for row in rows) == 1
         x0 = np.array(values)
         text = ",".join(fmt(float(c)) for c in x0)
         assert hash_x0(x0) == hashlib.sha256(text.encode("ascii")).hexdigest()[:16]

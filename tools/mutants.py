@@ -11,14 +11,17 @@ when pytest reports a failing test.  ``killed by`` names a test known to
 kill it; the report prints the first failing test next to it.
 
 Before any mutant, tier-1 runs once on an unmutated copy made the same way;
-a failure there is a harness error, since a suite that already fails would
-"kill" every mutant.  An ``old`` text that does not occur exactly once in
-its file, or a pytest exit other than pass or fail, is a harness error too:
-a stale entry can never count as killed.  All entries are matched before
-any suite runs.  Exit status: 0 when every mutant is killed, 1 when one
+a failure there, or a run past ``TIMEOUT_S``, is a harness error, since a
+suite that already fails would "kill" every mutant.  Its wall time sets each
+mutant's bound, ``max(MUTANT_FLOOR_S, MUTANT_FACTOR * that time)``: a mutant
+that runs past it, say one that hangs a thread the suite waits on, is
+"killed (timeout)".  An ``old`` text that does not occur exactly once in its
+file, or a pytest exit other than pass or fail, is a harness error too: a
+stale entry can never count as killed.  All entries are matched before any
+suite runs.  Exit status: 0 when every mutant is killed, 1 when one
 survives, 2 on a harness error.  The harness is not part of tier-1: it runs
 the suite once unmutated and once per mutant, up to about 12 s each on a
-2-core host (about 5 min in all, since ``-x`` stops at the first failure).
+2-core host (about 13 min in all, since ``-x`` stops at the first failure).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SOLVER = "src/proxgrad/solver.py"
@@ -85,7 +89,7 @@ MUTANTS = [
     (SOLVER, "gamma = gamma * tau", "gamma = gamma * tau * tau",
      "tests/test_acceptance.py::test_criterion_08_monotone_nonmonotone_coincidence"),
     # a record's index is its position: written from it, checked on read
-    (DIAGNOSTICS, "if parts[0] != str(len(records)):", "if False:",
+    (DIAGNOSTICS, "if k != str(len(records)):", "if False:",
      "tests/test_diagnostics.py::TestTraceCsv::test_rejects_noncontiguous_indices"),
     (DIAGNOSTICS, "for k, r in enumerate(trace.records):",
      "for k, r in enumerate(trace.records, 1):",
@@ -165,7 +169,7 @@ MUTANTS = [
      "tests/test_diagnostics.py::TestCheckAcceptance::test_last_certified_row_is_checked"),
     (DIAGNOSTICS, "for k in range(len(env) - 1)", "for k in range(len(env) - 2)",
      "tests/test_diagnostics.py::TestCheckEnvelope::test_rise_at_the_last_pair_is_flagged"),
-    (DIAGNOSTICS, "gamma0=float(parts[4]),", "gamma0=float(parts[5]),",
+    (DIAGNOSTICS, "float(gamma0), float(gamma)", "float(gamma), float(gamma0)",
      "tests/test_diagnostics.py::TestTraceCsv::test_gamma0_is_read_from_its_own_column"),
     (DIAGNOSTICS, "if k > m and window", "if k >= m and window",
      "tests/test_diagnostics.py::test_window_keeps_its_front_until_it_leaves"),
@@ -359,30 +363,52 @@ MUTANTS = [
     # check's default steps band follows the tail's gamma
     (CLI, "max(tau_abs, 1e-6) / gamma", "max(tau_abs, 1e-6)",
      "tests/test_cli.py::TestCheck::test_default_steps_band_follows_the_tail_gamma"),
+    # the slotted record sets each field by name, the reader takes each column
+    # once, only +inf is the empty residual field, and the config echo is whole
+    (DIAGNOSTICS, '_set(self, "step_norm", step_norm)\n        _set(self, "residual", residual)',
+     '_set(self, "step_norm", residual)\n        _set(self, "residual", step_norm)',
+     "tests/test_diagnostics.py::TestIterateRecord"
+     "::test_positional_and_keyword_records_are_equal_field_for_field"),
+    (DIAGNOSTICS, "f_val, phi_val = float(f_val), float(phi_val)",
+     "f_val, phi_val = float(phi_val), float(f_val)",
+     "tests/test_diagnostics.py::TestTraceCsv::test_round_trip_identity"),
+    (DIAGNOSTICS, 'residual = "" if r.residual == math.inf else',
+     'residual = "" if math.isinf(r.residual) else',
+     "tests/test_diagnostics.py::TestTraceCsv::test_row_and_x0_bytes_match_format_spec"),
+    (DIAGNOSTICS, '"config": vars(trace.config_echo)',
+     '"config": {k: v for k, v in vars(trace.config_echo).items() if k != "eps_step"}',
+     "tests/test_diagnostics.py::TestTraceCsv"
+     "::test_metadata_config_is_every_field_of_the_config[every_field_set]"),
 ]
 
 # the tier-1 command, stopping at the first failure
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "--continue-on-collection-errors",
           "-p", "no:cacheprovider"]
+# the unmutated run's bound, and each mutant's: a floor, or a multiple of the
+# unmutated run's wall time
 TIMEOUT_S = 900
+MUTANT_FLOOR_S = 60
+MUTANT_FACTOR = 10
 _COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                       ".perfbench-*")
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 
 
-def check_entries(root: Path) -> list[str]:
+def check_entries(root: Path, mutants: list) -> list[str]:
     """Every entry's old text occurs exactly once in its file."""
     errors = []
-    for n, (file, old, _, _) in enumerate(MUTANTS, 1):
+    for n, (file, old, _, _) in enumerate(mutants, 1):
         count = (root / file).read_text(encoding="utf-8").count(old)
         if count != 1:
             errors.append(f"mutant {n}: old text occurs {count} times in {file}: {old!r}")
     return errors
 
 
-def run_tier1(root: Path, mutant: tuple[str, str, str, str] | None) -> tuple[str, str]:
+def run_tier1(root: Path, mutant: tuple[str, str, str, str] | None,
+              timeout_s: float) -> tuple[str, str]:
     """Run tier-1 on a copy of the tree, with ``mutant`` applied unless it is
-    None; returns (outcome, first failing test)."""
+    None; returns (outcome, first failing test or detail).  A run past
+    ``timeout_s`` is stopped, and its outcome is "killed (timeout)"."""
     with tempfile.TemporaryDirectory(prefix="proxgrad-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=_COPY_IGNORE)
@@ -394,9 +420,9 @@ def run_tier1(root: Path, mutant: tuple[str, str, str, str] | None) -> tuple[str
         pythonpath = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
         try:
             proc = subprocess.run(PYTEST, cwd=tree, env={**os.environ, "PYTHONPATH": pythonpath},
-                                  capture_output=True, text=True, timeout=TIMEOUT_S)
+                                  capture_output=True, text=True, timeout=timeout_s)
         except subprocess.TimeoutExpired:
-            return "error", f"tier-1 ran past {TIMEOUT_S} s"
+            return "killed (timeout)", f"tier-1 ran past {timeout_s:.3g} s"
     if proc.returncode == 0:
         return "survived", ""
     first = _FIRST_FAILURE.search(proc.stdout)
@@ -406,32 +432,37 @@ def run_tier1(root: Path, mutant: tuple[str, str, str, str] | None) -> tuple[str
     return "error", f"pytest exit {proc.returncode}: {' '.join(tail)}"
 
 
-def main() -> int:
-    root = Path(__file__).resolve().parent.parent
-    errors = check_entries(root)
+def main(root: Path | None = None, mutants: list = MUTANTS) -> int:
+    root = root or Path(__file__).resolve().parent.parent
+    errors = check_entries(root, mutants)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     if errors:
         return 2
-    outcome, detail = run_tier1(root, None)
+    start = time.monotonic()
+    outcome, detail = run_tier1(root, None, TIMEOUT_S)
+    elapsed = time.monotonic() - start
     if outcome != "survived":
         print(f"error: tier-1 does not pass on the unmutated tree: {detail}", file=sys.stderr)
         return 2
-    print("unmutated tree: tier-1 passes", flush=True)
+    bound = max(MUTANT_FLOOR_S, MUTANT_FACTOR * elapsed)
+    print(f"unmutated tree: tier-1 passes in {elapsed:.1f} s; each mutant's bound is "
+          f"{bound:.3g} s", flush=True)
     outcomes = []
-    for n, mutant in enumerate(MUTANTS, 1):
+    for n, mutant in enumerate(mutants, 1):
         file, old, new, killed_by = mutant
-        outcome, detail = run_tier1(root, mutant)
+        outcome, detail = run_tier1(root, mutant, bound)
         outcomes.append(outcome)
         print(f"[{n:2d}] {outcome:8} {file}: {old.strip()!r} -> {new.strip()!r}", flush=True)
         print(f"     listed: {killed_by}")
         if detail:
             print(f"     {'first failure' if outcome == 'killed' else 'detail'}: {detail}",
                   flush=True)
-    print(f"killed {outcomes.count('killed')}/{len(outcomes)}")
+    killed = sum(outcome.startswith("killed") for outcome in outcomes)
+    print(f"killed {killed}/{len(outcomes)}")
     if "error" in outcomes:
         return 2
-    return 0 if outcomes.count("killed") == len(outcomes) else 1
+    return 0 if killed == len(outcomes) else 1
 
 
 if __name__ == "__main__":
