@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -119,6 +121,10 @@ class Trace:
 # residual goes in as a string, since its k = 0 sentinel, +inf, is an empty field.
 _ROW_FORMAT = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s,%.17g"
 
+# No O_TRUNC: the writer cuts the file itself.  O_BINARY (Windows only) keeps
+# each "\n" a single byte.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Serialize a trace losslessly.
@@ -128,6 +134,12 @@ def write_trace_csv(trace: Trace, path) -> None:
     written as ``-inf``.  A single comment-prefixed metadata line precedes the
     fixed column header so that the solver configuration, problem name, x0
     checksum and the run's end survive the round-trip.
+
+    An existing regular file is rewritten in place and then cut to the
+    length written, since truncating it on open makes ext4 flush it on
+    close; a new file gets the mode ``open(path, "w")`` gives it.  A write
+    that fails leaves a regular file empty.  Other outputs, such as
+    ``/dev/null``, are written and never cut.
     """
     meta = {"problem_name": trace.problem_name, "x0_hash": trace.x0_hash,
             "config": vars(trace.config_echo), "status": trace.status,
@@ -140,8 +152,22 @@ def write_trace_csv(trace: Trace, path) -> None:
         lines.append(_ROW_FORMAT % (
             k, r.f_val, r.phi_val, r.psi, r.gamma0, r.gamma, r.inner_iters,
             r.step_norm, residual, r.accepted_ref))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            if regular:  # no bytes of the old trace survive
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read_trace_csv(path) -> Trace:

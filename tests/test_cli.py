@@ -278,6 +278,21 @@ class TestRun:
         assert captured.err.startswith(f"error: cannot write trace to {out}: ")
         assert captured.err.count("\n") == 1
 
+    def test_directory_output_exits_1(self, tmp_path, capsys):
+        assert run_cli(["run", "lasso_small", "--output", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write trace to {tmp_path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_output_to_dev_null_exits_0(self, tmp_path, capsys):
+        # a character device is written but not cut to length
+        assert run_cli(["run", "lasso_small", "--output", str(tmp_path / "t.csv")]) == 0
+        to_file = capsys.readouterr()
+        assert run_cli(["run", "lasso_small", "--output", "/dev/null"]) == 0
+        assert capsys.readouterr() == to_file
+
     def test_warning_line_comes_before_the_error_line(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
         assert run_cli(["run", "quartic_l0", "--output", str(out)]) == 1

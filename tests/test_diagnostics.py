@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -603,3 +605,60 @@ class TestTraceCsv:
         path.write_text("\n".join(lines) + "\n")
         loaded = read_trace_csv(path)
         assert len(check_acceptance(loaded)) == 1
+
+
+class TestTraceWrite:
+    """An existing file is rewritten in place and cut to the length written."""
+
+    @pytest.mark.parametrize("rows", [(30, 3), (3, 30)], ids=["shorter", "longer"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, rows):
+        trace, _ = lasso_trace()
+        first, second = (dataclasses.replace(trace, records=trace.records[:n]) for n in rows)
+        path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+        write_trace_csv(first, path)
+        write_trace_csv(second, path)
+        write_trace_csv(second, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert read_trace_csv(path) == second
+
+    @pytest.mark.parametrize("umask", [0o002, 0o077], ids=["umask_002", "umask_077"])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        trace = synth_trace([2.0, 1.0])
+        old = os.umask(umask)
+        try:
+            write_trace_csv(trace, tmp_path / "t.csv")
+            open(tmp_path / "plain.csv", "w").close()
+        finally:
+            os.umask(old)
+        assert (tmp_path / "t.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        trace, _ = lasso_trace()
+        expected = tmp_path / "expected.csv"
+        write_trace_csv(trace, expected)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:100]))
+        write_trace_csv(trace, tmp_path / "t.csv")
+        monkeypatch.undo()
+        assert (tmp_path / "t.csv").read_bytes() == expected.read_bytes()
+
+    def test_a_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        # the disk fills after a short write: neither the old trace nor the
+        # part of the new one written survives
+        trace, _ = lasso_trace()
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        real_write, calls = os.write, []
+
+        def disk_fills(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:100])
+
+        monkeypatch.setattr(os, "write", disk_fills)
+        with pytest.raises(OSError) as info:
+            write_trace_csv(dataclasses.replace(trace, records=trace.records[:3]), path)
+        monkeypatch.undo()
+        assert info.value.errno == errno.ENOSPC and len(calls) == 2
+        assert path.read_bytes() == b""

@@ -336,6 +336,14 @@ class TestBruteForce:
             assert brute_force_prox(l0, 1.0, 0.0, lo=-0.3, hi=0.3, step=0.1) == 0.0
         assert seen[0] is seen[1] and not seen[0].flags.writeable
 
+    def test_a_point_a_fraction_of_a_step_from_zero_is_not_snapped(self):
+        # -1.000005 + 1e-4 k passes 0 at 5e-6, a twentieth of a step: the
+        # snap (below 1e-9 * step) is for rounding error only, so no grid
+        # point is 0 and the l0 penalty's argmin is the point nearest 0
+        l0 = lambda x: (x != 0.0).astype(np.float64)
+        got = brute_force_prox(l0, 1.0, 0.0, lo=-1.000005, hi=1.0, step=1e-4)
+        assert got == pytest.approx(-5e-6, rel=1e-9)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             brute_force_prox(lambda x: 0.0 * x, 1.0, 0.0, lo=1.0, hi=0.0, step=0.1)

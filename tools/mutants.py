@@ -21,7 +21,7 @@ stale entry can never count as killed.  All entries are matched before any
 suite runs.  Exit status: 0 when every mutant is killed, 1 when one
 survives, 2 on a harness error.  The harness is not part of tier-1: it runs
 the suite once unmutated and once per mutant, up to about 12 s each on a
-2-core host (about 13 min in all, since ``-x`` stops at the first failure).
+2-core host (about 14 min in all, since ``-x`` stops at the first failure).
 """
 
 from __future__ import annotations
@@ -72,6 +72,12 @@ MUTANTS = [
      "tests/test_prox_oracles.py::TestBruteForce::test_grid_is_shared_read_only_and_snaps_zero"),
     (PROX, "grid[zero_idx] = 0.0", "grid[zero_idx] = grid[zero_idx]",
      "tests/test_prox_oracles.py::TestBruteForce::test_grid_is_shared_read_only_and_snaps_zero"),
+    (PROX, "< 1e-9 * step:", "< 1e-9 / step:",
+     "tests/test_prox_oracles.py::TestBruteForce"
+     "::test_a_point_a_fraction_of_a_step_from_zero_is_not_snapped"),
+    (PROX, "< 1e-9 * step:", "< (1e-9 + 1) * step:",
+     "tests/test_prox_oracles.py::TestBruteForce"
+     "::test_a_point_a_fraction_of_a_step_from_zero_is_not_snapped"),
     # facts stated once: the row count, the quartic's parameters, compare's m rule
     (SOLVER, "len(self.trace.records))", "len(self.trace.records) - 1)",
      "tests/test_cli.py::TestRun::test_half_open_box"),
@@ -379,6 +385,21 @@ MUTANTS = [
      '"config": {k: v for k, v in vars(trace.config_echo).items() if k != "eps_step"}',
      "tests/test_diagnostics.py::TestTraceCsv"
      "::test_metadata_config_is_every_field_of_the_config[every_field_set]"),
+    # the writer rewrites a file in place: it cuts a regular file to the
+    # length written, or to 0 when the write fails, never cuts another
+    # output, resumes a short write and creates a file as open(path, "w") does
+    (DIAGNOSTICS, "os.ftruncate(fd, len(data))", "pass",
+     "tests/test_diagnostics.py::TestTraceWrite::test_rewrite_leaves_exactly_the_new_bytes"
+     "[shorter]"),
+    (DIAGNOSTICS, "regular = stat.S_ISREG(os.fstat(fd).st_mode)", "regular = True",
+     "tests/test_cli.py::TestRun::test_output_to_dev_null_exits_0"),
+    (DIAGNOSTICS, "os.ftruncate(fd, 0)", "pass",
+     "tests/test_diagnostics.py::TestTraceWrite::test_a_failed_write_leaves_an_empty_file"),
+    (DIAGNOSTICS, "while view:", "if view:",
+     "tests/test_diagnostics.py::TestTraceWrite::test_short_writes_are_resumed"),
+    (DIAGNOSTICS, "os.open(path, _WRITE_FLAGS, 0o666)", "os.open(path, _WRITE_FLAGS, 0o644)",
+     "tests/test_diagnostics.py::TestTraceWrite"
+     "::test_new_file_gets_the_mode_open_gives[umask_002]"),
 ]
 
 # the tier-1 command, stopping at the first failure
